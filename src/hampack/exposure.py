@@ -199,88 +199,88 @@ def second_exposure(b_prime: BipartiteGraph, x_plus: int, y_minus: int,
 class AvailableEdgeSet:
     """The shrinking pool of ordered pairs still available for exposure.
 
-    Contains no loops, no edge of the generated subdigraph, no pair whose
-    tail is the protected source vertex, and no pair whose head is the
-    protected target vertex.  Edges only ever leave the pool; the removal
-    log records the order in which they left, and a removed edge can never
-    return.
+    A rule plus the removals: a pair (u, v) in 1..n is available when
+    u != v, u != x_plus (the protected source), v != target (the protected
+    target), (u, v) is not an edge of the blocked digraph, and (u, v) has
+    not been removed.  Vertex 0 protects nothing.  Only removals are stored;
+    the blocked digraph is held by reference and must not change.  Pairs
+    only ever leave the pool; the removal log records the order in which
+    they left, and a removed pair can never return.
     """
 
-    def __init__(self, n: int, pairs: set[tuple[int, int]]):
-        self.n = n
-        self._pairs = set(pairs)
-        self.removal_log: list[tuple[int, int]] = []
+    def __init__(self, blocked: Digraph, x_plus: int = 0, target: int = 0):
+        self.n = blocked.n
+        self._blocked = blocked
+        self._x_plus, self._target = x_plus, target
         self._removed: set[tuple[int, int]] = set()
+        self.removal_log: list[tuple[int, int]] = []
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "AvailableEdgeSet":
-        """Direct construction from an explicit pair collection (tests, demos)."""
-        ps = set()
+        """A pool of exactly the given pairs: the rest blocked, none protected."""
+        given = set()
         for u, v in pairs:
             if u == v:
                 raise InvalidInputError(f"loop ({u},{v}) cannot be available")
             if not (1 <= u <= n and 1 <= v <= n):
                 raise InvalidInputError(f"pair ({u},{v}) outside 1..{n}")
-            ps.add((u, v))
-        return cls(n, ps)
+            given.add((u, v))
+        return cls(Digraph(n, [(u, v) for u in range(1, n + 1) for v in range(1, n + 1)
+                               if u != v and (u, v) not in given]))
 
     def __len__(self) -> int:
-        return len(self._pairs)
+        # inclusion-exclusion over row x and column t: non-loop pairs less blocked edges
+        n, x, t, d = self.n, self._x_plus, self._target, self._blocked
+        pairs = n * (n - 1) - (n - 1) * (bool(x) + bool(t)) + bool(x and t and x != t)
+        blocked = d.edge_count - d.out_degree(x) - d.in_degree(t) + d.has_edge(x, t)
+        return pairs - blocked - len(self._removed)
 
     def __contains__(self, edge: tuple[int, int]) -> bool:
-        return edge in self._pairs
+        u, v = edge
+        return (u != v and u != self._x_plus and v != self._target
+                and 1 <= u <= self.n and 1 <= v <= self.n
+                and not self._blocked.has_edge(u, v) and (u, v) not in self._removed)
 
     def remove_edges(self, edges) -> None:
         """Remove each edge once; every edge must currently be present."""
         for e in sorted(set(edges)):
-            if e not in self._pairs:
+            if e not in self:
                 raise InvalidInputError(f"edge {e} not available (already removed or never present)")
-            self._pairs.discard(e)
             self._removed.add(e)
             self.removal_log.append(e)
 
-    def edges_into(self, tails, head: int) -> list[tuple[int, int]]:
-        """Available edges tail -> head for tails in the given order."""
-        return [(t, head) for t in tails if (t, head) in self._pairs]
+    def _row(self, tail: int, heads) -> list[tuple[int, int]]:
+        # shared by both scans, so that each public scan is one profiled layer;
+        # it reads the digraph's prebuilt row set rather than copying the row
+        if tail == self._x_plus or not 1 <= tail <= self.n:
+            return []
+        target, removed, blocked = self._target, self._removed, self._blocked._out_sets[tail]
+        return [(tail, h) for h in heads
+                if h != tail and h != target and h not in blocked and (tail, h) not in removed]
 
     def edges_out_of(self, tail: int, heads) -> list[tuple[int, int]]:
-        """Available edges tail -> head for heads in the given order."""
-        return [(tail, h) for h in heads if (tail, h) in self._pairs]
+        """Available edges tail -> head for heads (vertices in 1..n) in the given order."""
+        return self._row(tail, heads)
 
     def edges_between(self, tails, heads) -> list[tuple[int, int]]:
         """Available pairs (t, h), tails x heads, in sorted order."""
-        out = []
-        for t in sorted(set(tails)):
-            for h in sorted(set(heads)):
-                if (t, h) in self._pairs:
-                    out.append((t, h))
-        return out
-
-    def snapshot(self) -> frozenset:
-        return frozenset(self._pairs)
+        heads = sorted(set(heads))
+        return [e for t in sorted(set(tails)) for e in self._row(t, heads)]
 
 
 def init_available_edges(d_prime: Digraph, x_plus: int, target: int) -> AvailableEdgeSet:
     """Initial availability pool for the conversion phase.
 
-    Starts from every ordered non-loop pair, then excludes edges already in
-    the generated subdigraph, every pair with tail x_plus (that row's
-    exposure budget is spent), and every pair with head equal to the image
-    of the protected column (likewise spent).
+    Every ordered non-loop pair is available except the edges already in
+    the generated subdigraph d_prime, every pair with tail x_plus (that
+    row's exposure budget is spent), and every pair with head equal to the
+    image of the protected column (likewise spent).  The pool applies this
+    rule to d_prime by reference and stores only later removals.
     """
     n = d_prime.n
     if not (1 <= x_plus <= n and 1 <= target <= n):
         raise InvalidInputError(f"protected vertices ({x_plus},{target}) outside 1..{n}")
-    pairs = set()
-    for u in range(1, n + 1):
-        if u == x_plus:
-            continue
-        for v in range(1, n + 1):
-            if v == target or v == u:
-                continue
-            if not d_prime.has_edge(u, v):
-                pairs.add((u, v))
-    return AvailableEdgeSet(n, pairs)
+    return AvailableEdgeSet(d_prime, x_plus, target)
 
 
 def coupling_audit(ledger: ExposureLedger, params: Params) -> dict:

@@ -219,14 +219,28 @@ def _perfect_matching(n: int, adj: list[list[int]]):
                     queue.append(nx)
         return found
 
-    def dfs(x: int) -> bool:
-        for y in adj[x]:
-            nx = match_y[y]
-            if nx == 0 or (dist[nx] == dist[x] + 1 and dfs(nx)):
-                match_x[x] = y
-                match_y[y] = x
-                return True
-        dist[x] = INF
+    def dfs(root: int) -> bool:
+        # augmenting-path search on an explicit stack of (vertex, neighbour
+        # scan) frames, so that a long path cannot overflow Python's stack
+        stack = [(root, iter(adj[root]))]
+        while stack:
+            x, scan = stack[-1]
+            want = dist[x] + 1
+            for y in scan:
+                nx = match_y[y]
+                if nx == 0:
+                    # flip the path: each vertex passes its old partner
+                    # to the vertex below it
+                    for x, _ in reversed(stack):
+                        match_y[y] = x
+                        match_x[x], y = y, match_x[x]
+                    return True
+                if dist[nx] == want:
+                    stack.append((nx, iter(adj[nx])))
+                    break
+            else:
+                dist[x] = INF
+                stack.pop()
         return False
 
     matched = 0

@@ -8,6 +8,7 @@ splitting identity (1-p0)(1-p1) = 1-p, then frozen here.
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hampack.errors import InvalidInputError, ParameterRangeError
 from hampack.exposure import (
@@ -183,16 +184,39 @@ class TestSecondExposure:
         assert out == base
 
 
+def pool_members(pool: AvailableEdgeSet) -> set[tuple[int, int]]:
+    """The pool's contents, by membership over all n^2 pairs."""
+    n = pool.n
+    return {(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if (u, v) in pool}
+
+
+def explicit_pool(d: Digraph, x_plus: int, target: int) -> set[tuple[int, int]]:
+    """The initial pool enumerated pair by pair from its definition."""
+    n = d.n
+    return {(u, v) for u in range(1, n + 1) for v in range(1, n + 1)
+            if u != v and u != x_plus and v != target and not d.has_edge(u, v)}
+
+
+@st.composite
+def pool_inputs(draw):
+    n = draw(st.integers(2, 8))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
+    d = Digraph(n, draw(st.lists(st.sampled_from(pairs), unique=True)))
+    x_plus = draw(st.integers(1, n))
+    target = draw(st.one_of(st.just(x_plus), st.integers(1, n)))
+    return d, x_plus, target
+
+
 class TestAvailableEdges:
     def test_frozen_four_vertex_example(self):
         pool = init_available_edges(Digraph(4, []), 1, 2)
-        assert pool.snapshot() == frozenset(
-            {(2, 1), (2, 3), (2, 4), (3, 1), (3, 4), (4, 1), (4, 3)}
-        )
+        assert pool_members(pool) == {(2, 1), (2, 3), (2, 4), (3, 1), (3, 4), (4, 1), (4, 3)}
+        assert len(pool) == 7
 
     def test_frozen_two_vertex_example(self):
         pool = init_available_edges(Digraph(2, []), 1, 2)
-        assert pool.snapshot() == frozenset({(2, 1)})
+        assert pool_members(pool) == {(2, 1)}
+        assert len(pool) == 1
 
     def test_excludes_generated_edges(self):
         d = Digraph(4, [(2, 3), (3, 4)])
@@ -203,26 +227,58 @@ class TestAvailableEdges:
 
     def test_protected_rows_and_columns(self):
         pool = init_available_edges(Digraph(5, []), 2, 4)
-        for u, v in pool.snapshot():
+        for u, v in pool_members(pool):
             assert u != 2 and v != 4 and u != v
+        assert len(pool_members(pool)) == len(pool) == 13
 
     def test_removal_is_monotone(self):
         pool = AvailableEdgeSet.from_pairs(4, [(1, 2), (2, 1), (3, 4)])
         pool.remove_edges([(1, 2), (3, 4)])
         assert (1, 2) not in pool and (3, 4) not in pool
         assert pool.removal_log == [(1, 2), (3, 4)]
+        assert pool_members(pool) == {(2, 1)}
         with pytest.raises(InvalidInputError):
             pool.remove_edges([(1, 2)])
 
     def test_queries(self):
         pool = AvailableEdgeSet.from_pairs(5, [(1, 3), (2, 3), (4, 3), (3, 1), (3, 5)])
-        assert pool.edges_into([1, 2, 5], 3) == [(1, 3), (2, 3)]
+        assert [(t, 3) for t in [1, 2, 5] if (t, 3) in pool] == [(1, 3), (2, 3)]
         assert pool.edges_out_of(3, [1, 2, 5]) == [(3, 1), (3, 5)]
         assert pool.edges_between([1, 2, 4], [3, 5]) == [(1, 3), (2, 3), (4, 3)]
 
     def test_from_pairs_rejects_loop(self):
         with pytest.raises(InvalidInputError):
             AvailableEdgeSet.from_pairs(3, [(2, 2)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(pool_inputs(), st.data())
+    def test_rule_matches_explicit_reference(self, inputs, data):
+        d, x_plus, target = inputs
+        n = d.n
+        pool = init_available_edges(d, x_plus, target)
+        expected = explicit_pool(d, x_plus, target)
+        listed = AvailableEdgeSet.from_pairs(n, expected)
+        assert pool_members(listed) == expected and len(listed) == len(expected)
+        removed = data.draw(st.sets(st.sampled_from(sorted(expected)))) if expected else set()
+        pool.remove_edges(removed)
+        assert pool.removal_log == sorted(removed)
+        expected -= removed
+        assert len(pool) == len(expected)
+        assert pool_members(pool) == expected
+        vertex = st.integers(1, n)
+        heads = data.draw(st.lists(vertex, max_size=12))
+        for tail in range(1, n + 1):
+            assert pool.edges_out_of(tail, heads) == [(tail, h) for h in heads
+                                                      if (tail, h) in expected]
+        tails, heads = data.draw(st.lists(vertex)), data.draw(st.lists(vertex))
+        assert pool.edges_between(tails, heads) == sorted(
+            (t, h) for t, h in expected if t in tails and h in heads)
+        for u in range(1, n + 1):
+            for v in range(1, n + 1):
+                if (u, v) not in expected:
+                    with pytest.raises(InvalidInputError):
+                        pool.remove_edges([(u, v)])
+        assert len(pool) == len(expected)
 
 
 class TestCouplingAudit:

@@ -17,6 +17,7 @@ from hampack.matching import (
     find_r_factor,
     gale_ryser_bruteforce,
 )
+from hampack.pipeline import phase_one
 from hampack.rng import SeededRng
 
 
@@ -101,6 +102,11 @@ class TestDecomposeRegular:
     def test_zero_regular(self):
         fam = decompose_regular(BipartiteGraph(4, []), 0)
         assert len(fam) == 0
+
+    def test_deep_augmenting_path_does_not_overflow_the_stack(self):
+        # this instance's search reaches past Python's recursion limit
+        doc = phase_one(1500, 0.02, 2)
+        assert doc["outcome"] == "SUCCESS"
 
 
 class TestMatchingFamily:
