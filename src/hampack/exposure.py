@@ -21,8 +21,10 @@ probabilities into [0, 1], recording which ones were clamped.
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import InvalidInputError, ParameterRangeError
-from .graphs import BipartiteGraph, Digraph
+from .graphs import BipartiteGraph, Digraph, edge_arrays
 from .rng import SeededRng
 
 __all__ = [
@@ -164,9 +166,8 @@ def first_exposure(n: int, p0: float, rng: SeededRng) -> BipartiteGraph:
     """
     if n < 1:
         raise ParameterRangeError(f"need n >= 1, got {n}")
-    hits = rng.bernoulli_matrix(n, n, p0)
-    edges = [(int(x) + 1, int(y) + 1) for x, y in zip(*hits.nonzero())]
-    return BipartiteGraph(n, edges)
+    xs, ys = rng.bernoulli_matrix(n, n, p0).nonzero()
+    return BipartiteGraph(n, (xs + 1, ys + 1))
 
 
 def second_exposure(b_prime: BipartiteGraph, x_plus: int, y_minus: int,
@@ -193,7 +194,8 @@ def second_exposure(b_prime: BipartiteGraph, x_plus: int, y_minus: int,
             added.append((x, y_minus))
     if not added:
         return b_prime
-    return BipartiteGraph(n, list(b_prime.edges()) + added)
+    xs, ys = edge_arrays(added)
+    return BipartiteGraph(n, (np.concatenate([b_prime.xs, xs]), np.concatenate([b_prime.ys, ys])))
 
 
 class AvailableEdgeSet:
@@ -218,15 +220,15 @@ class AvailableEdgeSet:
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "AvailableEdgeSet":
         """A pool of exactly the given pairs: the rest blocked, none protected."""
-        given = set()
+        blocked = ~np.eye(n + 1, dtype=bool)
+        blocked[0, :] = blocked[:, 0] = False
         for u, v in pairs:
             if u == v:
                 raise InvalidInputError(f"loop ({u},{v}) cannot be available")
             if not (1 <= u <= n and 1 <= v <= n):
                 raise InvalidInputError(f"pair ({u},{v}) outside 1..{n}")
-            given.add((u, v))
-        return cls(Digraph(n, [(u, v) for u in range(1, n + 1) for v in range(1, n + 1)
-                               if u != v and (u, v) not in given]))
+            blocked[u, v] = False
+        return cls(Digraph(n, blocked.nonzero()))
 
     def __len__(self) -> int:
         # inclusion-exclusion over row x and column t: non-loop pairs less blocked edges
@@ -249,23 +251,29 @@ class AvailableEdgeSet:
             self._removed.add(e)
             self.removal_log.append(e)
 
-    def _row(self, tail: int, heads) -> list[tuple[int, int]]:
-        # shared by both scans, so that each public scan is one profiled layer;
-        # it reads the digraph's prebuilt row set rather than copying the row
-        if tail == self._x_plus or not 1 <= tail <= self.n:
-            return []
-        target, removed, blocked = self._target, self._removed, self._blocked._out_sets[tail]
-        return [(tail, h) for h in heads
-                if h != tail and h != target and h not in blocked and (tail, h) not in removed]
+    def _scan(self, tails, heads) -> list[tuple[int, int]]:
+        # shared by both public scans, so that each of them is one profiled
+        # layer; it reads the digraph's prebuilt row sets rather than copying
+        # rows, and plain loops spare the tiny closing scans a comprehension call
+        n, x_plus, target, removed = self.n, self._x_plus, self._target, self._removed
+        rows = self._blocked._out_sets
+        out = []
+        for t in tails:
+            if t == x_plus or not 1 <= t <= n:
+                continue
+            blocked = rows[t]
+            for h in heads:
+                if h != t and h != target and h not in blocked and (t, h) not in removed:
+                    out.append((t, h))
+        return out
 
     def edges_out_of(self, tail: int, heads) -> list[tuple[int, int]]:
         """Available edges tail -> head for heads (vertices in 1..n) in the given order."""
-        return self._row(tail, heads)
+        return self._scan((tail,), heads)
 
     def edges_between(self, tails, heads) -> list[tuple[int, int]]:
         """Available pairs (t, h), tails x heads, in sorted order."""
-        heads = sorted(set(heads))
-        return [e for t in sorted(set(tails)) for e in self._row(t, heads)]
+        return self._scan(sorted(set(tails)), sorted(set(heads)))
 
 
 def init_available_edges(d_prime: Digraph, x_plus: int, target: int) -> AvailableEdgeSet:

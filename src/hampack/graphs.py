@@ -11,8 +11,10 @@ E(B), loops erased.  Perfect matchings of B then map to 1-regular spanning
 subdigraphs, i.e. vertex-disjoint cycle covers.
 """
 
-from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import DimensionError, InvalidInputError
 
@@ -22,6 +24,7 @@ __all__ = [
     "Permutation",
     "Cycle",
     "OneFactor",
+    "edge_arrays",
     "bipartite_to_digraph",
     "matching_to_one_factor",
     "is_heavy",
@@ -30,45 +33,94 @@ __all__ = [
 ]
 
 
-class Digraph:
-    """Simple directed graph on vertices 1..n (no loops, no parallel edges)."""
+def edge_arrays(edges) -> tuple[np.ndarray, np.ndarray]:
+    """An edge list as two index arrays (first ends, second ends).
 
-    __slots__ = ("n", "out_adj", "in_adj", "_out_sets", "edge_count")
+    edges is an iterable of (a, b) pairs, or already a pair of integer
+    index arrays, which is returned as it is.
+    """
+    if (isinstance(edges, tuple) and len(edges) == 2
+            and all(isinstance(side, np.ndarray) for side in edges)):
+        return edges
+    pairs = list(edges)
+    try:
+        flat = np.fromiter(chain.from_iterable(pairs), np.int64, 2 * len(pairs))
+    except OverflowError:
+        # such an index is out of range; keep Python ints so the range check names it
+        flat = np.array(list(chain.from_iterable(pairs)), dtype=object)
+    return flat[0::2], flat[1::2]
+
+
+def _rows(n: int, keys: np.ndarray, values: np.ndarray) -> list[list[int]]:
+    """values grouped into rows 0..n by keys, which must be sorted."""
+    ends = np.cumsum(np.bincount(keys, minlength=n + 1)).tolist()
+    flat = values.tolist()
+    return [flat[start:end] for start, end in zip([0] + ends[:-1], ends)]
+
+
+def _build(n: int, edges, errors: tuple) -> tuple:
+    """Validate an edge list and lay it out as sorted arrays and rows.
+
+    errors holds the range, loop and duplicate messages (loop None when
+    loops are allowed), formatted with the pair and n.  The first bad pair
+    in input order is reported, checked for range, then loop, then
+    duplicate (a pair equal to an earlier one).  Returns the edges sorted by
+    (a, b) as two read-only int32 arrays, then the b's of each a and the a's
+    of each b, as sorted lists indexed 0..n.
+    """
+    a, b = edge_arrays(edges)
+    out_of_range = (a < 1) | (a > n) | (b < 1) | (b > n)
+    loop = (a == b) if errors[1] else np.zeros(len(a), dtype=bool)
+    # clipping keeps the key small; a clipped pair is out of range anyway
+    key = (np.clip(a, 0, n + 1).astype(np.int64) * (n + 2)
+           + np.clip(b, 0, n + 1).astype(np.int64))
+    order = np.argsort(key, kind="stable")
+    repeat = np.zeros(len(a), dtype=bool)
+    repeat[order[1:][key[order[1:]] == key[order[:-1]]]] = True
+    bad = out_of_range | loop | repeat
+    if bad.any():
+        i = int(bad.argmax())
+        message = errors[0] if out_of_range[i] else errors[1] if loop[i] else errors[2]
+        raise InvalidInputError(message.format(int(a[i]), int(b[i]), n=n))
+    # int32 halves the arrays' memory, which counts because every trial
+    # report carries its final digraph
+    a = a[order].astype(np.int32)
+    b = b[order].astype(np.int32)
+    a.flags.writeable = b.flags.writeable = False
+    # b lies in 1..n; numpy sorts a 16-bit copy by radix, much faster
+    by_b = np.argsort(b.astype(np.uint16) if n < 2 ** 16 else b, kind="stable")
+    # the rows share one int object per vertex, not one per entry
+    vertex = np.arange(n + 1, dtype=object)
+    return a, b, _rows(n, a, vertex[b]), _rows(n, b[by_b], vertex[a[by_b]])
+
+
+class Digraph:
+    """Simple directed graph on vertices 1..n (no loops, no parallel edges).
+
+    edges is an iterable of (u, v) pairs or a (tails, heads) pair of integer
+    index arrays.  tails and heads (int32) hold the edges in lexicographic
+    order.
+    """
+
+    __slots__ = ("n", "tails", "heads", "out_adj", "in_adj", "_out_sets", "edge_count")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise DimensionError(f"vertex count must be nonnegative, got {n}")
+        self.tails, self.heads, self.out_adj, self.in_adj = _build(n, edges, (
+            "edge ({0},{1}) outside vertex range 1..{n}",
+            "loop at vertex {0} not allowed",
+            "duplicate edge ({0},{1})"))
         self.n = n
-        out_adj: list[list[int]] = [[] for _ in range(n + 1)]
-        in_adj: list[list[int]] = [[] for _ in range(n + 1)]
-        seen: set[tuple[int, int]] = set()
-        for u, v in edges:
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise InvalidInputError(f"edge ({u},{v}) outside vertex range 1..{n}")
-            if u == v:
-                raise InvalidInputError(f"loop at vertex {u} not allowed")
-            if (u, v) in seen:
-                raise InvalidInputError(f"duplicate edge ({u},{v})")
-            seen.add((u, v))
-            out_adj[u].append(v)
-            in_adj[v].append(u)
-        for adj in out_adj:
-            adj.sort()
-        for adj in in_adj:
-            adj.sort()
-        self.out_adj = out_adj
-        self.in_adj = in_adj
-        self._out_sets = [frozenset(a) for a in out_adj]
-        self.edge_count = len(seen)
+        self._out_sets = [frozenset(a) for a in self.out_adj]
+        self.edge_count = len(self.tails)
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._out_sets[u]
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges in lexicographic order."""
-        for u in range(1, self.n + 1):
-            for v in self.out_adj[u]:
-                yield (u, v)
+        return zip(self.tails.tolist(), self.heads.tolist())
 
     def out_degree(self, u: int) -> int:
         return len(self.out_adj[u])
@@ -79,7 +131,8 @@ class Digraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Digraph):
             return NotImplemented
-        return self.n == other.n and self.out_adj == other.out_adj
+        return (self.n == other.n and np.array_equal(self.tails, other.tails)
+                and np.array_equal(self.heads, other.heads))
 
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, m={self.edge_count})"
@@ -103,43 +156,29 @@ class Digraph:
 class BipartiteGraph:
     """Bipartite graph on X = {x_1..x_n} and Y = {y_1..y_n}.
 
-    Edges are stored as (x, y) index pairs.  Both sides are indexed 1..n;
-    the graph is balanced by construction.
+    Edges are (x, y) index pairs, given as pairs or as an (xs, ys) pair of
+    integer index arrays; xs and ys hold them sorted.  Both sides are
+    indexed 1..n; the graph is balanced by construction.
     """
 
-    __slots__ = ("n", "x_adj", "y_adj", "_edge_set", "edge_count")
+    __slots__ = ("n", "xs", "ys", "x_adj", "y_adj", "_x_sets", "edge_count")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise DimensionError(f"side size must be nonnegative, got {n}")
+        self.xs, self.ys, self.x_adj, self.y_adj = _build(n, edges, (
+            "edge (x{0},y{1}) outside index range 1..{n}",
+            None,
+            "duplicate edge (x{0},y{1})"))
         self.n = n
-        x_adj: list[list[int]] = [[] for _ in range(n + 1)]
-        y_adj: list[list[int]] = [[] for _ in range(n + 1)]
-        edge_set: set[tuple[int, int]] = set()
-        for x, y in edges:
-            if not (1 <= x <= n and 1 <= y <= n):
-                raise InvalidInputError(f"edge (x{x},y{y}) outside index range 1..{n}")
-            if (x, y) in edge_set:
-                raise InvalidInputError(f"duplicate edge (x{x},y{y})")
-            edge_set.add((x, y))
-            x_adj[x].append(y)
-            y_adj[y].append(x)
-        for adj in x_adj:
-            adj.sort()
-        for adj in y_adj:
-            adj.sort()
-        self.x_adj = x_adj
-        self.y_adj = y_adj
-        self._edge_set = frozenset(edge_set)
-        self.edge_count = len(edge_set)
+        self._x_sets = [frozenset(a) for a in self.x_adj]
+        self.edge_count = len(self.xs)
 
     def has_edge(self, x: int, y: int) -> bool:
-        return (x, y) in self._edge_set
+        return 1 <= x <= self.n and y in self._x_sets[x]
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for x in range(1, self.n + 1):
-            for y in self.x_adj[x]:
-                yield (x, y)
+        return zip(self.xs.tolist(), self.ys.tolist())
 
     def deg_x(self, x: int) -> int:
         return len(self.x_adj[x])
@@ -150,7 +189,8 @@ class BipartiteGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BipartiteGraph):
             return NotImplemented
-        return self.n == other.n and self._edge_set == other._edge_set
+        return (self.n == other.n and np.array_equal(self.xs, other.xs)
+                and np.array_equal(self.ys, other.ys))
 
     def __repr__(self) -> str:
         return f"BipartiteGraph(n={self.n}, m={self.edge_count})"
@@ -349,13 +389,10 @@ def bipartite_to_digraph(bipartite: BipartiteGraph, pi: Permutation) -> Digraph:
     """
     if bipartite.n != pi.n:
         raise DimensionError(f"graph has n={bipartite.n} but permutation has n={pi.n}")
-    edges = []
-    for i in range(1, bipartite.n + 1):
-        for j in bipartite.x_adj[i]:
-            head = pi.of(j)
-            if head != i:
-                edges.append((i, head))
-    return Digraph(bipartite.n, edges)
+    image = np.fromiter(pi.image, np.int64, pi.n)
+    heads = image[bipartite.ys - 1]
+    keep = heads != bipartite.xs
+    return Digraph(bipartite.n, (bipartite.xs[keep], heads[keep]))
 
 
 def matching_to_one_factor(n: int, matching: Sequence[int], pi: Permutation) -> OneFactor:

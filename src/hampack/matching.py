@@ -18,6 +18,8 @@ in lowest-index-first order, making every output deterministic.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DimensionError, Failure, InvalidInputError, SizeError
 from .graphs import BipartiteGraph
 
@@ -177,16 +179,17 @@ def find_r_factor(bipartite: BipartiteGraph, r: int):
     net = _Dinic(2 * n + 2)
     for x in range(1, n + 1):
         net.add_edge(source, x, r)
-    cross: list[tuple[int, int, int]] = []
-    for x in range(1, n + 1):
-        for y in bipartite.x_adj[x]:
-            cross.append((net.add_edge(x, n + y, 1), x, y))
+    # the cross arcs, in the graph's sorted edge order, sit at every other
+    # index from here
+    first = len(net.to)
+    for x, y in bipartite.edges():
+        net.add_edge(x, n + y, 1)
     for y in range(1, n + 1):
         net.add_edge(n + y, sink, r)
     if net.max_flow(source, sink) != r * n:
         return None
-    chosen = [(x, y) for idx, x, y in cross if net.cap[idx] == 0]
-    return BipartiteGraph(n, chosen)
+    saturated = np.array(net.cap[first:first + 2 * bipartite.edge_count:2]) == 0
+    return BipartiteGraph(n, (bipartite.xs[saturated], bipartite.ys[saturated]))
 
 
 def _perfect_matching(n: int, adj: list[list[int]]):

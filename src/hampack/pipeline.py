@@ -13,11 +13,13 @@ import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import Failure, InvalidInputError, ParameterRangeError
 from .exposure import (ExposureLedger, coupling_audit, derive_parameters,
                        first_exposure, init_available_edges, second_exposure)
 from .graphs import (Digraph, OneFactor, Permutation, bipartite_to_digraph,
-                     degree_profile, matching_to_one_factor,
+                     degree_profile, edge_arrays, matching_to_one_factor,
                      min_degree_vertices)
 from .matching import find_delta_matchings
 from .merge import DesignationLedger, MergeSettings, choose_designated, convert_all
@@ -120,21 +122,25 @@ def _screen_heaviness(d_prime: Digraph, factors: list[OneFactor]) -> dict:
     """
     n = d_prime.n
     min_len = n / math.log(n) ** 3
+    # numpy indexes and counts with intp; convert once, not per factor
+    tails, heads = d_prime.tails.astype(np.intp), d_prime.heads.astype(np.intp)
     per_factor = []
     for factor in factors:
+        # label[v]: v's cycle index, or -1 when that cycle is not screened;
+        # need[v] stays infinite there, so an unscreened vertex is never heavy
+        label = np.full(n + 1, -1, dtype=np.int32)
+        need = np.full(n + 1, np.inf)
         screened = 0
-        heavy = 0
-        for cyc in factor.cycles:
-            if len(cyc) < min_len:
-                continue
-            screened += 1
-            block = set(cyc.vertices)
-            need = HEAVY_LEVEL * len(cyc)
-            for v in cyc.vertices:
-                if sum(1 for w in d_prime.out_adj[v] if w in block) >= need:
-                    heavy += 1
-                elif sum(1 for w in d_prime.in_adj[v] if w in block) >= need:
-                    heavy += 1
+        for idx, cyc in enumerate(factor.cycles):
+            if len(cyc) >= min_len:
+                screened += 1
+                vertices = list(cyc.vertices)
+                label[vertices] = idx
+                need[vertices] = HEAVY_LEVEL * len(cyc)
+        same = label[tails] == label[heads]
+        out_in = np.bincount(tails, weights=same, minlength=n + 1)
+        in_in = np.bincount(heads, weights=same, minlength=n + 1)
+        heavy = int(np.count_nonzero((out_in >= need) | (in_in >= need)))
         per_factor.append({"screened_cycles": screened, "heavy_vertices": heavy})
     return {
         "level": HEAVY_LEVEL,
@@ -304,7 +310,11 @@ def full_pipeline(n: int, p: float, seed: int, mode: str = "practical",
                              dict(result.detail, stage=result.stage)))
         report.failure_stage = result.stage
 
-    d_final = Digraph(n, set(d_prime.edges()) | ledger.successes)
+    # every exposed pair came from the pool, which excludes D', so the
+    # successes only add edges; the build rejects a repeat
+    added_tails, added_heads = edge_arrays(ledger.successes)
+    d_final = Digraph(n, (np.concatenate([d_prime.tails, added_tails]),
+                          np.concatenate([d_prime.heads, added_heads])))
     report.d_final = d_final
     report.exposure_ledger = ledger
     profile_final = degree_profile(d_final)

@@ -11,7 +11,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .errors import InvalidInputError, SizeError
+from .errors import Failure, InvalidInputError, SizeError
 from .exposure import derive_parameters, first_exposure, second_exposure
 from .graphs import Permutation, matching_to_one_factor, min_degree_vertices
 from .matching import find_delta_matchings
@@ -187,7 +187,7 @@ def designation_moment_estimate(n: int, p: int | float, trials: int,
         x_plus, y_minus = min_degree_vertices(b_prime)
         b = second_exposure(b_prime, x_plus, y_minus, params.p1, rng_edges)
         delta, family = find_delta_matchings(b, x_plus, y_minus)
-        if not hasattr(family, "matchings"):
+        if isinstance(family, Failure):
             skipped += 1
             continue
         pi = Permutation(rng_perm.uniform_permutation(n))

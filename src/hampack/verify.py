@@ -10,7 +10,6 @@ describing the offending cycle or edge.
 
 from dataclasses import dataclass
 
-from .errors import DimensionError
 from .graphs import Cycle, Digraph, degree_profile
 
 __all__ = ["VerifyResult", "verify_packing", "delta_pm"]
@@ -101,8 +100,3 @@ def verify_packing(d_final: Digraph, family, expected_count: int) -> VerifyResul
     ok = hamiltonian_ok and subset_ok and disjoint_ok and count_ok
     return VerifyResult(ok, hamiltonian_ok, subset_ok, disjoint_ok, count_ok, witness)
 
-
-def verify_dimensions(d_final: Digraph, expected_n: int) -> None:
-    """Guard for callers stitching files together."""
-    if d_final.n != expected_n:
-        raise DimensionError(f"digraph has n={d_final.n}, expected {expected_n}")

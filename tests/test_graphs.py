@@ -1,5 +1,6 @@
 """Core graph types: construction invariants, the bipartite bridge, degrees."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -57,6 +58,75 @@ class TestDigraph:
             Digraph.from_text("3\n1 2\n")
         with pytest.raises(InvalidInputError):
             Digraph.from_text("3 2\n1 2\n")
+
+
+def reference_build(n, edges, digraph):
+    """Edge-by-edge build: the rows, or the message for the first bad pair."""
+    rows = [[] for _ in range(n + 1)]
+    cols = [[] for _ in range(n + 1)]
+    seen = set()
+    for u, v in edges:
+        if not (1 <= u <= n and 1 <= v <= n):
+            return (f"edge ({u},{v}) outside vertex range 1..{n}" if digraph
+                    else f"edge (x{u},y{v}) outside index range 1..{n}")
+        if digraph and u == v:
+            return f"loop at vertex {u} not allowed"
+        if (u, v) in seen:
+            return f"duplicate edge ({u},{v})" if digraph else f"duplicate edge (x{u},y{v})"
+        seen.add((u, v))
+        rows[u].append(v)
+        cols[v].append(u)
+    return [sorted(r) for r in rows], [sorted(c) for c in cols]
+
+
+class TestBuildMatchesReference:
+    """Pairs and index arrays give the graph an edge-by-edge build gives,
+    or the same error, for the first bad pair in input order."""
+
+    @given(st.integers(0, 6), st.data())
+    def test_digraph_and_bipartite(self, n, data):
+        index = st.integers(-1, n + 2) | st.integers(1, max(n, 1))
+        pairs = data.draw(st.lists(st.tuples(index, index), max_size=24))
+        arrays = (np.array([u for u, _ in pairs], dtype=np.int64),
+                  np.array([v for _, v in pairs], dtype=np.int64))
+        for cls, is_digraph in ((Digraph, True), (BipartiteGraph, False)):
+            expected = reference_build(n, pairs, is_digraph)
+            for edges in (pairs, iter(pairs), arrays):
+                if isinstance(expected, str):
+                    with pytest.raises(InvalidInputError) as err:
+                        cls(n, edges)
+                    assert str(err.value) == expected
+                    continue
+                g = cls(n, edges)
+                rows, cols = expected
+                assert g.edge_count == len(pairs)
+                assert list(g.edges()) == sorted(pairs)
+                adjacency = (g.out_adj, g.in_adj) if is_digraph else (g.x_adj, g.y_adj)
+                assert adjacency == (rows, cols)
+                assert all(g.has_edge(u, v) == (v in rows[u])
+                           for u in range(1, n + 1) for v in range(1, n + 1))
+                assert g == cls(n, sorted(pairs))
+
+    def test_error_names_first_bad_pair_in_input_order(self):
+        with pytest.raises(InvalidInputError, match=r"^duplicate edge \(1,2\)$"):
+            Digraph(3, [(1, 2), (2, 3), (1, 2), (3, 3), (0, 1)])
+        with pytest.raises(InvalidInputError, match=r"^loop at vertex 3 not allowed$"):
+            Digraph(3, [(3, 3), (0, 1), (1, 2), (1, 2)])
+        with pytest.raises(InvalidInputError, match=r"outside vertex range"):
+            Digraph(3, [(1, 2), (2, 10 ** 30), (1, 2)])
+        with pytest.raises(InvalidInputError, match=r"^duplicate edge \(x2,y2\)$"):
+            BipartiteGraph(3, [(2, 2), (1, 1), (2, 2), (4, 1)])
+
+    def test_large_vertex_count(self):
+        n = 70_000
+        g = Digraph(n, [(n, 3), (1, 2), (5, n), (4, 2)])
+        assert g.in_adj[2] == [1, 4] and g.in_adj[n] == [5] and g.out_adj[n] == [3]
+
+    def test_edge_arrays_are_read_only(self):
+        g = Digraph(3, [(2, 1), (1, 3)])
+        assert g.tails.tolist() == [1, 2] and g.heads.tolist() == [3, 1]
+        with pytest.raises(ValueError):
+            g.tails[0] = 3
 
 
 class TestBipartiteGraph:

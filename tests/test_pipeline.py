@@ -1,8 +1,13 @@
 """End-to-end trial pipeline: stages, reports, replay, error paths."""
 
+import hashlib
 import json
+import math
 
-from hampack.pipeline import full_pipeline
+from hypothesis import given, strategies as st
+
+from hampack.graphs import Cycle, Digraph, OneFactor, Permutation, is_heavy
+from hampack.pipeline import HEAVY_LEVEL, _screen_heaviness, full_pipeline
 
 SUCCESS_STAGES = [
     "parameters", "first_exposure", "min_degree", "second_exposure",
@@ -143,3 +148,58 @@ class TestDegenerateDensity:
         assert r.cycles == []
         assert r.verification["ok"] is True
         assert r.diagnostics["draw_counts"]["sprinkling"] == 0
+
+
+# sha256 of json_bytes() for (n, p, seed) at q_override=1.0, retries=8.  A
+# change that moves the replay bytes fails here; update the hashes only
+# together with a CHANGES.md entry that says why the bytes changed.
+PINNED_REPLAY_SHA256 = {
+    (40, 0.3, 0): "ae1125a9eda15b56c78298bcb63bbf725a405c6ee0f7a2766b241dd5fa642f9c",
+    (40, 0.3, 1): "c9ffc534b6798b5d8319a154c97e81621362a2e92ee1450f81b074deaaff4928",
+    (40, 0.3, 2): "43228cbb2c9fb331d0fdd2ff32f76a12a20325dd8a8e20fd12e7b2730b7fa0a4",
+    (80, 0.3, 0): "ba15ea6c23104586ecf3c06372c948d2d808667272185a421d064ced4550c0c9",
+    (80, 0.3, 1): "85d9087a264520e60e557fc14dfd8b400a3c00e00e208937b8aad6bfbdf318c6",
+    (80, 0.3, 2): "beeaa88fbe75cf5a837a9f5493cccf04c01808d6283a810deb6667223d6c2cd7",
+    (30, 0.4, 1): "a346be25ee9f8442676d463c5373ae67c2425c11f6000937930e11148f1a60e4",
+}
+
+
+def test_replay_bytes_pinned():
+    got = {cfg: hashlib.sha256(full_pipeline(*cfg, q_override=1.0, retries=8)
+                               .json_bytes()).hexdigest()
+           for cfg in PINNED_REPLAY_SHA256}
+    assert got == PINNED_REPLAY_SHA256
+
+
+def heaviness_by_vertex(d, factors):
+    """The screen's counts, one is_heavy call per screened vertex."""
+    min_len = d.n / math.log(d.n) ** 3
+    counts = []
+    for f in factors:
+        screened = [c for c in f.cycles if len(c) >= min_len]
+        heavy = sum(is_heavy(v, c.vertices, HEAVY_LEVEL, d)
+                    for c in screened for v in c.vertices)
+        counts.append({"screened_cycles": len(screened), "heavy_vertices": heavy})
+    return counts
+
+
+def one_factor(image):
+    return OneFactor(len(image), [Cycle(c) for c in Permutation(image).cycles()])
+
+
+class TestHeavinessScreen:
+    @given(st.integers(3, 12), st.data())
+    def test_matches_per_vertex_count(self, n, data):
+        universe = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
+        edges = data.draw(st.lists(st.sampled_from(universe), unique=True))
+        images = data.draw(st.lists(st.permutations(range(1, n + 1)), min_size=1, max_size=3))
+        d, factors = Digraph(n, edges), [one_factor(im) for im in images]
+        assert _screen_heaviness(d, factors)["per_factor"] == heaviness_by_vertex(d, factors)
+
+    def test_boundary_counts_as_heavy(self):
+        # one 18-cycle: the level asks for 2 neighbours inside it
+        factor = one_factor(list(range(2, 19)) + [1])
+        d = Digraph(18, [(1, 5), (1, 9), (2, 7), (11, 2), (4, 3), (6, 3), (8, 12)])
+        # 1 has 2 out, 3 has 2 in; 2 has 1 out and 1 in, so it stays light
+        assert heaviness_by_vertex(d, [factor]) == [{"screened_cycles": 1, "heavy_vertices": 2}]
+        assert _screen_heaviness(d, [factor])["per_factor"] == heaviness_by_vertex(d, [factor])
