@@ -14,12 +14,14 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import InvalidInputError, SizeError
+import jsonschema
+
+from .errors import DimensionError, InvalidInputError, ParameterRangeError, SizeError
 from .graphs import BipartiteGraph, Digraph
 from .matching import GALE_RYSER_MAX_N, gale_ryser_bruteforce, find_r_factor
 from .oracle import brute_force_psi
 from .pipeline import full_pipeline, phase_one
-from .runner import TrialConfig, emit, run_trials, write_stats_csv
+from .runner import TrialConfig, emit, load_report_schema, run_trials, write_stats_csv
 from .stats import (degree_gap_probe, designation_moment_estimate,
                     permutation_cycle_stats)
 from .verify import delta_pm, verify_packing
@@ -109,6 +111,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_budgets(args) -> None:
+    """Reject budgets no trial report can hold, before any trial runs."""
+    if args.retries < 0:
+        raise InvalidInputError(f"need --retries >= 0, got {args.retries}")
+    if args.t_max < 1:
+        raise InvalidInputError(f"need --tmax >= 1, got {args.t_max}")
+
+
 def _cmd_generate(args) -> int:
     doc = phase_one(args.n, args.p, args.seed, mode=args.mode)
     _print_or_write(doc, args.out)
@@ -116,6 +126,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    _check_budgets(args)
     report = full_pipeline(n=args.n, p=args.p, seed=args.seed, mode=args.mode,
                            retries=args.retries, t_max=args.t_max,
                            q_override=args.q_override)
@@ -131,10 +142,11 @@ def _cmd_decompose(args) -> int:
 def _cmd_verify(args) -> int:
     if args.report:
         doc = json.loads(Path(args.report).read_text(encoding="utf-8"))
-        cfg = doc["config"]
-        replayed = full_pipeline(n=cfg["n"], p=cfg["p"], seed=cfg["seed"],
-                                 mode=cfg["mode"], retries=cfg["retries"],
-                                 t_max=cfg["t_max"], q_override=cfg["q_override"])
+        try:
+            jsonschema.validate(doc, load_report_schema())
+        except jsonschema.ValidationError as exc:
+            raise InvalidInputError(f"{args.report} is not a trial report: {exc.message}")
+        replayed = full_pipeline(**doc["config"])
         same = replayed.to_json_dict() == doc
         print(json.dumps({
             "replay_identical": same,
@@ -145,6 +157,9 @@ def _cmd_verify(args) -> int:
     if args.digraph and args.cycles:
         d = Digraph.from_text(Path(args.digraph).read_text(encoding="utf-8"))
         family = json.loads(Path(args.cycles).read_text(encoding="utf-8"))
+        if not (isinstance(family, list) and all(
+                isinstance(c, list) and all(type(v) is int for v in c) for c in family)):
+            raise InvalidInputError(f"{args.cycles} must hold a list of integer lists")
         expected = args.expected if args.expected is not None else delta_pm(d)
         verdict = verify_packing(d, family, expected)
         print(json.dumps(dict(verdict.to_json_dict(), expected=expected), indent=2))
@@ -183,43 +198,30 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_stats(args) -> int:
     n, seed = args.n, args.seed
+    if args.probe != "cycles" and args.p is None:
+        print(f"probe {args.probe!r} needs --p", file=sys.stderr)
+        return 1
     if args.probe == "cycles":
         out = permutation_cycle_stats(n, args.samples, seed=seed,
                                       exhaustive=args.exhaustive)
-        rows = [
-            {"n": n, "p": "", "statistic": key, "value": out[key],
-             "samples": out["samples"], "seed": seed}
-            for key in ("mean_sigma", "var_sigma", "mean_two_power",
-                        "tail_freq", "reference_mean", "reference_two_power")
-        ]
+        p, samples = "", out["samples"]
+        keys = ("mean_sigma", "var_sigma", "mean_two_power",
+                "tail_freq", "reference_mean", "reference_two_power")
     elif args.probe == "moment":
-        if args.p is None:
-            print("probe 'moment' needs --p", file=sys.stderr)
-            return 1
         out = designation_moment_estimate(n, args.p, trials=args.trials, seed=seed)
-        rows = [
-            {"n": n, "p": args.p, "statistic": key,
-             "value": "" if out[key] is None else out[key],
-             "samples": out["completed"], "seed": seed}
-            for key in ("estimate", "reference", "ratio")
-        ]
+        p, samples, keys = args.p, out["completed"], ("estimate", "reference", "ratio")
     else:
-        if args.p is None:
-            print("probe 'gap' needs --p (round-one density)", file=sys.stderr)
-            return 1
         out = degree_gap_probe(n, args.p, trials=args.trials, seed=seed)
-        rows = [
-            {"n": n, "p": args.p, "statistic": key, "value": out[key],
-             "samples": args.trials, "seed": seed}
-            for key in ("mean_gap", "frac_at_least_reference", "reference")
-        ]
+        p, samples = args.p, args.trials
+        keys = ("mean_gap", "frac_at_least_reference", "reference")
+    rows = [{"n": n, "p": p, "statistic": key,
+             "value": "" if out[key] is None else out[key],
+             "samples": samples, "seed": seed} for key in keys]
     if args.out is None:
-        print(",".join(r for r in ("n", "p", "statistic", "value", "samples", "seed")))
-        for row in rows:
-            print(",".join(str(row[c]) for c in
-                           ("n", "p", "statistic", "value", "samples", "seed")))
+        write_stats_csv(rows, sys.stdout)
     else:
-        write_stats_csv(rows, args.out)
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            write_stats_csv(rows, fh)
     return 0
 
 
@@ -231,6 +233,7 @@ def _cmd_sweep(args) -> int:
     else:
         print("sweep needs --p or --p-grid", file=sys.stderr)
         return 1
+    _check_budgets(args)
     jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
     config = TrialConfig(n_values=args.n, p_values=p_values, seed=args.seed,
                          mode=args.mode, trials=args.trials, retries=args.retries,
@@ -271,7 +274,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (OSError, json.JSONDecodeError, InvalidInputError, SizeError) as exc:
+    except (OSError, json.JSONDecodeError, InvalidInputError, SizeError,
+            ParameterRangeError, DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,6 +19,7 @@ probabilities into [0, 1], recording which ones were clamped.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -299,13 +300,8 @@ def coupling_audit(ledger: ExposureLedger, params: Params) -> dict:
     never discarded; the flag is informational.
     """
     bound = math.log(params.n) ** 2
-    histogram: dict[int, int] = {}
-    violations = []
-    for edge in sorted(ledger.attempts):
-        c = ledger.attempts[edge]
-        histogram[c] = histogram.get(c, 0) + 1
-        if c > bound:
-            violations.append([edge[0], edge[1], c])
+    histogram = Counter(ledger.attempts.values())
+    violations = sorted([u, v, c] for (u, v), c in ledger.attempts.items() if c > bound)
     return {
         "max_attempts": ledger.max_attempts(),
         "histogram": {str(k): histogram[k] for k in sorted(histogram)},

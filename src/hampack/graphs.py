@@ -94,7 +94,24 @@ def _build(n: int, edges, errors: tuple) -> tuple:
     return a, b, _rows(n, a, vertex[b]), _rows(n, b[by_b], vertex[a[by_b]])
 
 
-class Digraph:
+class _EdgeListText:
+    """The text form shared by both graph types: a header line 'n m', then
+    one 'a b' line per edge in the order edges() gives."""
+
+    __slots__ = ()
+
+    def to_text(self) -> str:
+        lines = [f"{self.n} {self.edge_count}"]
+        lines.extend(f"{a} {b}" for a, b in self.edges())
+        return "\n".join(lines) + "\n"
+
+    @classmethod
+    def from_text(cls, text: str):
+        """Parse the text form; there must be as many edge lines as m says."""
+        return cls(*_parse_edge_list(text))
+
+
+class Digraph(_EdgeListText):
     """Simple directed graph on vertices 1..n (no loops, no parallel edges).
 
     edges is an iterable of (u, v) pairs or a (tails, heads) pair of integer
@@ -137,23 +154,8 @@ class Digraph:
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, m={self.edge_count})"
 
-    def to_text(self) -> str:
-        """Serialize as 'n m' followed by one 'u v' line per edge."""
-        lines = [f"{self.n} {self.edge_count}"]
-        lines.extend(f"{u} {v}" for u, v in self.edges())
-        return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_text(cls, text: str) -> "Digraph":
-        """Parse the 'n m' + edge-lines format; validates the edge count."""
-        n, m, pairs = _parse_edge_list(text)
-        g = cls(n, pairs)
-        if g.edge_count != m:
-            raise InvalidInputError(f"header claims {m} edges, found {g.edge_count}")
-        return g
-
-
-class BipartiteGraph:
+class BipartiteGraph(_EdgeListText):
     """Bipartite graph on X = {x_1..x_n} and Y = {y_1..y_n}.
 
     Edges are (x, y) index pairs, given as pairs or as an (xs, ys) pair of
@@ -195,37 +197,26 @@ class BipartiteGraph:
     def __repr__(self) -> str:
         return f"BipartiteGraph(n={self.n}, m={self.edge_count})"
 
-    def to_text(self) -> str:
-        lines = [f"{self.n} {self.edge_count}"]
-        lines.extend(f"{x} {y}" for x, y in self.edges())
-        return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_text(cls, text: str) -> "BipartiteGraph":
-        n, m, pairs = _parse_edge_list(text)
-        g = cls(n, pairs)
-        if g.edge_count != m:
-            raise InvalidInputError(f"header claims {m} edges, found {g.edge_count}")
-        return g
+def _int_pair(line: str, form: str) -> tuple[int, int]:
+    parts = line.split()
+    if len(parts) == 2:
+        try:
+            return int(parts[0]), int(parts[1])
+        except ValueError:
+            pass
+    raise InvalidInputError(f"{form}, got {line!r}")
 
 
-def _parse_edge_list(text: str) -> tuple[int, int, list[tuple[int, int]]]:
+def _parse_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
     lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
     if not lines:
         raise InvalidInputError("empty graph text")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise InvalidInputError(f"header must be 'n m', got {lines[0]!r}")
-    n, m = int(head[0]), int(head[1])
-    pairs = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise InvalidInputError(f"edge line must be 'u v', got {ln!r}")
-        pairs.append((int(parts[0]), int(parts[1])))
+    n, m = _int_pair(lines[0], "header must be 'n m' (two integers)")
+    pairs = [_int_pair(ln, "edge line must be 'u v' (two integers)") for ln in lines[1:]]
     if len(pairs) != m:
         raise InvalidInputError(f"header claims {m} edges, file has {len(pairs)} lines")
-    return n, m, pairs
+    return n, pairs
 
 
 class Permutation:

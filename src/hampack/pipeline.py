@@ -16,17 +16,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import Failure, InvalidInputError, ParameterRangeError
-from .exposure import (ExposureLedger, coupling_audit, derive_parameters,
+from .exposure import (ExposureLedger, Params, coupling_audit, derive_parameters,
                        first_exposure, init_available_edges, second_exposure)
-from .graphs import (Digraph, OneFactor, Permutation, bipartite_to_digraph,
-                     degree_profile, edge_arrays, matching_to_one_factor,
-                     min_degree_vertices)
-from .matching import find_delta_matchings
+from .graphs import (BipartiteGraph, Digraph, OneFactor, Permutation,
+                     bipartite_to_digraph, degree_profile, edge_arrays,
+                     matching_to_one_factor, min_degree_vertices)
+from .matching import MatchingFamily, find_delta_matchings
 from .merge import DesignationLedger, MergeSettings, choose_designated, convert_all
-from .rng import STREAM_LABELS, SeededRng
+from .rng import SeededRng, streams
 from .verify import verify_packing
 
-__all__ = ["TrialReport", "full_pipeline", "phase_one", "HEAVY_LEVEL"]
+__all__ = ["TrialReport", "Generation", "generate", "full_pipeline", "phase_one",
+           "HEAVY_LEVEL"]
 
 HEAVY_LEVEL = 1.0 / 9.0
 
@@ -149,6 +150,41 @@ def _screen_heaviness(d_prime: Digraph, factors: list[OneFactor]) -> dict:
     }
 
 
+@dataclass
+class Generation:
+    """Phase one of a trial: both exposure rounds and the matching family.
+
+    pi and the one-factors are set only when the family exists.  D' is left
+    out; a caller that needs it builds it from b and pi.
+    """
+
+    b_prime: BipartiteGraph
+    x_plus: int
+    y_minus: int
+    b: BipartiteGraph
+    delta: int
+    family: MatchingFamily | Failure
+    pi: Permutation | None = None
+    factors: list[OneFactor] = field(default_factory=list)
+
+
+def generate(n: int, params: Params, rngs: dict[str, SeededRng]) -> Generation:
+    """Draw phase one on the trial's streams, in the one fixed draw order.
+
+    Both exposure rounds draw from rngs["phase1"], then the permutation from
+    rngs["permutation"]; no other stream is touched.
+    """
+    b_prime = first_exposure(n, params.p0, rngs["phase1"])
+    x_plus, y_minus = min_degree_vertices(b_prime)
+    b = second_exposure(b_prime, x_plus, y_minus, params.p1, rngs["phase1"])
+    delta, family = find_delta_matchings(b, x_plus, y_minus)
+    gen = Generation(b_prime, x_plus, y_minus, b, delta, family)
+    if not isinstance(family, Failure):
+        gen.pi = Permutation(rngs["permutation"].uniform_permutation(n))
+        gen.factors = [matching_to_one_factor(n, m, gen.pi) for m in family.matchings]
+    return gen
+
+
 def phase_one(n: int, p: float, seed: int, mode: str = "practical") -> dict:
     """Generation phase only: exposures, matchings, permutation, factors.
 
@@ -170,32 +206,25 @@ def phase_one(n: int, p: float, seed: int, mode: str = "practical") -> dict:
         return doc
     doc["params"] = params.to_json_dict()
 
-    rng = SeededRng(seed, "phase1")
-    b_prime = first_exposure(n, params.p0, rng)
-    x_plus, y_minus = min_degree_vertices(b_prime)
-    b = second_exposure(b_prime, x_plus, y_minus, params.p1, rng)
-    delta, family = find_delta_matchings(b, x_plus, y_minus)
+    gen = generate(n, params, streams(seed))
     doc.update({
-        "x_plus": x_plus,
-        "y_minus": y_minus,
-        "delta": delta,
-        "first_edges": b_prime.edge_count,
-        "second_added": b.edge_count - b_prime.edge_count,
+        "x_plus": gen.x_plus,
+        "y_minus": gen.y_minus,
+        "delta": gen.delta,
+        "first_edges": gen.b_prime.edge_count,
+        "second_added": gen.b.edge_count - gen.b_prime.edge_count,
     })
-    if isinstance(family, Failure):
+    if isinstance(gen.family, Failure):
         doc["outcome"] = "FAILURE"
-        doc["failure"] = _json_safe(dict(family.detail, stage=family.stage))
+        doc["failure"] = _json_safe(dict(gen.family.detail, stage=gen.family.stage))
         return doc
 
-    pi = Permutation(SeededRng(seed, "permutation").uniform_permutation(n))
-    d_prime = bipartite_to_digraph(b, pi)
-    factors = [matching_to_one_factor(n, m, pi) for m in family.matchings]
     doc.update({
         "outcome": "SUCCESS",
-        "matchings": family.to_json(),
-        "pi": list(pi.image),
-        "digraph": d_prime.to_text(),
-        "one_factors": [[list(c.vertices) for c in f.cycles] for f in factors],
+        "matchings": gen.family.to_json(),
+        "pi": list(gen.pi.image),
+        "digraph": bipartite_to_digraph(gen.b, gen.pi).to_text(),
+        "one_factors": [[list(c.vertices) for c in f.cycles] for f in gen.factors],
     })
     return doc
 
@@ -234,23 +263,19 @@ def full_pipeline(n: int, p: float, seed: int, mode: str = "practical",
         "q_used": q_used, "clamped": list(params.clamped),
     }))
 
-    rngs = {label: SeededRng(seed, label) for label in STREAM_LABELS}
-
-    b_prime = first_exposure(n, params.p0, rngs["phase1"])
+    rngs = streams(seed)
+    gen = generate(n, params, rngs)
+    b_prime, x_plus, y_minus, b = gen.b_prime, gen.x_plus, gen.y_minus, gen.b
     stages.append(_stage("first_exposure", "ok", {"edges": b_prime.edge_count}))
-
-    x_plus, y_minus = min_degree_vertices(b_prime)
     stages.append(_stage("min_degree", "ok", {
         "x_plus": x_plus, "y_minus": y_minus,
         "deg_x_plus": b_prime.deg_x(x_plus),
         "deg_y_minus": b_prime.deg_y(y_minus),
     }))
-
-    b = second_exposure(b_prime, x_plus, y_minus, params.p1, rngs["phase1"])
     stages.append(_stage("second_exposure", "ok",
                          {"added": b.edge_count - b_prime.edge_count}))
 
-    delta, family = find_delta_matchings(b, x_plus, y_minus)
+    delta, family, factors = gen.delta, gen.family, gen.factors
     report.delta = delta
     if isinstance(family, Failure):
         stages.append(_stage("matchings", "failure",
@@ -261,9 +286,8 @@ def full_pipeline(n: int, p: float, seed: int, mode: str = "practical",
     stages.append(_stage("matchings", "ok", {"delta": delta}))
     report.matchings = family.to_json()
 
-    pi = Permutation(rngs["permutation"].uniform_permutation(n))
-    d_prime = bipartite_to_digraph(b, pi)
-    target = pi.of(y_minus)
+    d_prime = bipartite_to_digraph(b, gen.pi)
+    target = gen.pi.of(y_minus)
     profile_prime = degree_profile(d_prime)
     stages.append(_stage("digraph", "ok", {
         "edges": d_prime.edge_count,
@@ -272,7 +296,6 @@ def full_pipeline(n: int, p: float, seed: int, mode: str = "practical",
         "delta_pm": profile_prime["delta_pm"],
     }))
 
-    factors = [matching_to_one_factor(n, m, pi) for m in family.matchings]
     cycle_counts = [len(f.cycles) for f in factors]
     singletons = sum(f.singleton_count() for f in factors)
     stages.append(_stage("one_factors", "ok", {
@@ -356,8 +379,7 @@ def full_pipeline(n: int, p: float, seed: int, mode: str = "practical",
         "designation": designation_ledger.to_json_dict(p),
         "pool": {"initial": pool_initial, "remaining": len(avail),
                  "consumed": pool_initial - len(avail)},
-        "draw_counts": {label: rngs[label].n_bernoulli
-                        for label in STREAM_LABELS},
+        "draw_counts": {label: rng.n_bernoulli for label, rng in rngs.items()},
         "merge_logs": merge_logs,
     }
     return report

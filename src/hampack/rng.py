@@ -14,7 +14,7 @@ import zlib
 
 import numpy as np
 
-__all__ = ["SeededRng", "STREAM_LABELS"]
+__all__ = ["SeededRng", "STREAM_LABELS", "streams"]
 
 # canonical stream labels used by the trial pipeline
 STREAM_LABELS = ("phase1", "permutation", "designation", "sprinkling", "closure")
@@ -66,3 +66,8 @@ class SeededRng:
 
     def __repr__(self) -> str:
         return f"SeededRng(seed={self.seed}, stream={self.stream!r}, bernoulli={self.n_bernoulli})"
+
+
+def streams(seed: int) -> dict[str, SeededRng]:
+    """One stream per canonical label for a trial seed, in label order."""
+    return {label: SeededRng(seed, label) for label in STREAM_LABELS}

@@ -161,26 +161,12 @@ class RotationState:
 
     def reconstruct_side(self, side: str, endpoint: int, t: int) -> tuple[int, ...]:
         """Path for an endpoint of round t, replaying only this side's chain."""
-        rounds = self._rounds(side)
-        while t > 0 and rounds[t - 1].fallback:
-            t -= 1
-        if t == 0:
-            anchor = self.base[0] if side == "left" else self.base[-1]
-            if endpoint != anchor:
-                raise InvalidInputError(f"{endpoint} is not the round-0 {side} endpoint")
-            return self.base
-        recs = rounds[t - 1].ends.get(endpoint)
-        if not recs:
-            raise InvalidInputError(f"no derivation for {side} endpoint {endpoint} at round {t}")
-        parent, a, b = recs[0]
-        parent_path = self.reconstruct_side(side, parent, t - 1)
-        if side == "left":
-            out = left_rotate(parent_path, a, b)
-            assert out[0] == endpoint
-        else:
-            out = right_rotate(parent_path, a, b)
-            assert out[-1] == endpoint
-        return out
+        chain = self.pivot_chain(side, endpoint, t)
+        rotate = left_rotate if side == "left" else right_rotate
+        path = self.base
+        for a, b in chain:
+            path = rotate(path, a, b)
+        return path
 
     def pivot_chain(self, side: str, endpoint: int, t: int) -> list[tuple[int, int]]:
         """Pivot pairs that derive the endpoint, in application order."""

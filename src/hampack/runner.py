@@ -106,24 +106,26 @@ class BatchSummary:
         return out
 
 
+def _trial_row(report: TrialReport, trial: int) -> dict:
+    """One TRIAL_CSV_COLUMNS row; a field the trial never reached is empty."""
+    audit = report.ledger_audit
+    return {
+        "n": report.n,
+        "p": report.p,
+        "trial": trial,
+        "seed": report.seed,
+        "outcome": report.outcome,
+        "failure_stage": report.failure_stage or "",
+        "delta": report.delta if report.delta is not None else "",
+        "verified": (report.verification["ok"]
+                     if report.verification is not None else ""),
+        "max_attempts": audit["max_attempts"] if audit is not None else "",
+    }
+
+
 def _summarize(config: TrialConfig, tasks: list[tuple],
                reports: list[TrialReport], seconds: float) -> BatchSummary:
-    rows = []
-    for task, report in zip(tasks, reports):
-        n, p, seed, _, _, _, _, t = task
-        audit = report.ledger_audit
-        rows.append({
-            "n": n,
-            "p": p,
-            "trial": t,
-            "seed": seed,
-            "outcome": report.outcome,
-            "failure_stage": report.failure_stage or "",
-            "delta": report.delta if report.delta is not None else "",
-            "verified": (report.verification["ok"]
-                         if report.verification is not None else ""),
-            "max_attempts": audit["max_attempts"] if audit is not None else "",
-        })
+    rows = [_trial_row(report, task[-1]) for task, report in zip(tasks, reports)]
 
     cells = []
     for n in config.n_values:
@@ -226,16 +228,7 @@ def emit(obj, format: str, path) -> None:
         if isinstance(obj, BatchSummary):
             rows = obj.trial_rows
         elif isinstance(obj, TrialReport):
-            audit = obj.ledger_audit
-            rows = [{
-                "n": obj.n, "p": obj.p, "trial": 0, "seed": obj.seed,
-                "outcome": obj.outcome,
-                "failure_stage": obj.failure_stage or "",
-                "delta": obj.delta if obj.delta is not None else "",
-                "verified": (obj.verification["ok"]
-                             if obj.verification is not None else ""),
-                "max_attempts": audit["max_attempts"] if audit is not None else "",
-            }]
+            rows = [_trial_row(obj, 0)]
         else:
             raise InvalidInputError(f"cannot emit {type(obj).__name__} as csv")
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -246,9 +239,12 @@ def emit(obj, format: str, path) -> None:
     raise InvalidInputError(f"unknown format {format!r}")
 
 
-def write_stats_csv(rows: list[dict], path) -> None:
-    """Probe output as (n, p, statistic, value, samples, seed) rows."""
-    with open(str(path), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=STATS_CSV_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
+def write_stats_csv(rows: list[dict], fh) -> None:
+    """Probe output as (n, p, statistic, value, samples, seed) rows.
+
+    fh is an open text file; open it with newline="" so the csv module's
+    CRLF line ends reach it unchanged.
+    """
+    writer = csv.DictWriter(fh, fieldnames=STATS_CSV_COLUMNS)
+    writer.writeheader()
+    writer.writerows(rows)

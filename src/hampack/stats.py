@@ -12,10 +12,9 @@ import math
 from fractions import Fraction
 
 from .errors import Failure, InvalidInputError, SizeError
-from .exposure import derive_parameters, first_exposure, second_exposure
-from .graphs import Permutation, matching_to_one_factor, min_degree_vertices
-from .matching import find_delta_matchings
-from .rng import SeededRng
+from .exposure import derive_parameters, first_exposure
+from .pipeline import generate
+from .rng import SeededRng, streams
 
 __all__ = [
     "harmonic_number",
@@ -86,39 +85,23 @@ def permutation_cycle_stats(n: int, samples: int, seed: int,
     if exhaustive:
         if n > MAX_EXHAUSTIVE_N:
             raise SizeError(f"exhaustive sweep capped at n={MAX_EXHAUSTIVE_N}, got {n}")
-        total = math.factorial(n)
-        sum_sigma = 0
-        sum_sigma_sq = 0
-        sum_two = 0
-        tail = 0
-        for image in itertools.permutations(range(1, n + 1)):
-            s = _count_cycles(image)
-            sum_sigma += s
-            sum_sigma_sq += s * s
-            sum_two += 1 << s
-            if s >= threshold:
-                tail += 1
-        count = total
-        mean_exact = Fraction(sum_sigma, total)
-        two_exact = Fraction(sum_two, total)
+        count = math.factorial(n)
+        images = itertools.permutations(range(1, n + 1))
     else:
         if samples < 1:
             raise InvalidInputError(f"need samples >= 1, got {samples}")
         rng = SeededRng(seed, "permutation")
         count = samples
-        sum_sigma = 0
-        sum_sigma_sq = 0
-        sum_two = 0
-        tail = 0
-        for _ in range(samples):
-            s = _count_cycles(rng.uniform_permutation(n))
-            sum_sigma += s
-            sum_sigma_sq += s * s
-            sum_two += 1 << s
-            if s >= threshold:
-                tail += 1
-        mean_exact = None
-        two_exact = None
+        images = (rng.uniform_permutation(n) for _ in range(samples))
+
+    sum_sigma = sum_sigma_sq = sum_two = tail = 0
+    for image in images:
+        s = _count_cycles(image)
+        sum_sigma += s
+        sum_sigma_sq += s * s
+        sum_two += 1 << s
+        if s >= threshold:
+            tail += 1
 
     mean = sum_sigma / count
     out = {
@@ -135,8 +118,8 @@ def permutation_cycle_stats(n: int, samples: int, seed: int,
         "reference_two_power": float(exact_power_moment(n, 2)),
     }
     if exhaustive:
-        out["mean_sigma_exact"] = str(mean_exact)
-        out["mean_two_power_exact"] = str(two_exact)
+        out["mean_sigma_exact"] = str(Fraction(sum_sigma, count))
+        out["mean_two_power_exact"] = str(Fraction(sum_two, count))
     return out
 
 
@@ -180,21 +163,14 @@ def designation_moment_estimate(n: int, p: int | float, trials: int,
     skipped = 0
     acc = 0.0
     for t in range(trials):
-        rng_edges = SeededRng(seed + t, "phase1")
-        rng_perm = SeededRng(seed + t, "permutation")
-        rng_probe = SeededRng(seed + t, "designation")
-        b_prime = first_exposure(n, params.p0, rng_edges)
-        x_plus, y_minus = min_degree_vertices(b_prime)
-        b = second_exposure(b_prime, x_plus, y_minus, params.p1, rng_edges)
-        delta, family = find_delta_matchings(b, x_plus, y_minus)
-        if isinstance(family, Failure):
+        rngs = streams(seed + t)
+        gen = generate(n, params, rngs)
+        if isinstance(gen.family, Failure):
             skipped += 1
             continue
-        pi = Permutation(rng_perm.uniform_permutation(n))
-        w = int(rng_probe.integers(1, n + 1))
+        w = int(rngs["designation"].integers(1, n + 1))
         weight = 0.0
-        for i in range(delta):
-            factor = matching_to_one_factor(n, family.matchings[i], pi)
+        for factor in gen.factors:
             weight += 1.0 / len(factor.cycles[factor.vertex_to_cycle[w]])
         acc += weight**3
         completed += 1

@@ -7,7 +7,8 @@ import math
 from hypothesis import given, strategies as st
 
 from hampack.graphs import Cycle, Digraph, OneFactor, Permutation, is_heavy
-from hampack.pipeline import HEAVY_LEVEL, _screen_heaviness, full_pipeline
+from hampack.pipeline import HEAVY_LEVEL, _screen_heaviness, full_pipeline, phase_one
+from hampack.stats import designation_moment_estimate
 
 SUCCESS_STAGES = [
     "parameters", "first_exposure", "min_degree", "second_exposure",
@@ -169,6 +170,45 @@ def test_replay_bytes_pinned():
                                .json_bytes()).hexdigest()
            for cfg in PINNED_REPLAY_SHA256}
     assert got == PINNED_REPLAY_SHA256
+
+
+# sha256 of the phase_one document as `hampack generate` prints it, for (n, p, seed)
+# or (n, p, seed, mode); the same rule as above holds for updating them
+PINNED_PHASE_ONE_SHA256 = {
+    (40, 0.3, 0): "bfdc9ffde7b950d871b90a02f6012aca6d64ca88a84ec3176d119bab1d559dfe",
+    (60, 0.2, 1): "349ed3ab302b49e0ee2ec5d280bb4dc5fde63c529b82e58a7b1754fbfbbd86f6",
+    (12, 0.2, 0): "0ef699ba878f22182c3ef5de7d277f42940cf4520c88067853156c35034bf186",
+    (3, 0.4, 0): "30f1d0011d2c8b98ed2b7ab6331403361a51b56619bdb97c7a2168da7b5cdb89",
+    (100, 0.2, 0, "strict"): "f30d4227d9fed56ab86c52a849d3bc632b99a0c5059db4bc3d2c0919867d283c",
+}
+
+
+def test_phase_one_bytes_pinned():
+    docs = {cfg: phase_one(*cfg) for cfg in PINNED_PHASE_ONE_SHA256}
+    assert [d["outcome"] for d in docs.values()] == [
+        "SUCCESS", "SUCCESS", "FAILURE", "ERROR", "ERROR"]
+    got = {cfg: hashlib.sha256(json.dumps(doc, indent=2).encode()).hexdigest()
+           for cfg, doc in docs.items()}
+    assert got == PINNED_PHASE_ONE_SHA256
+
+
+def test_moment_estimate_pinned():
+    est = designation_moment_estimate(20, 0.4, trials=10, seed=0)
+    assert (est["completed"], est["skipped"]) == (9, 1)
+    assert (hashlib.sha256(json.dumps(est).encode()).hexdigest()
+            == "630e55705d1b8b502c52c5d60a5b5315ae58d5ccd5c15c56786b77b5b7009804")
+
+
+def test_phase_one_agrees_with_full_pipeline():
+    for n, p, seed in [(40, 0.3, 0), (60, 0.2, 1), (12, 0.2, 0)]:
+        doc = phase_one(n, p, seed)
+        report = full_pipeline(n, p, seed, q_override=1.0, retries=8)
+        min_degree = next(s["detail"] for s in report.stage_outcomes
+                          if s["stage"] == "min_degree")
+        assert (min_degree["x_plus"], min_degree["y_minus"]) == (doc["x_plus"], doc["y_minus"])
+        assert report.delta == doc["delta"]
+        assert report.matchings == doc.get("matchings", [])
+        assert report.one_factors == doc.get("one_factors", [])
 
 
 def heaviness_by_vertex(d, factors):

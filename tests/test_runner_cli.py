@@ -254,3 +254,54 @@ class TestCli:
     def test_missing_file_is_io_error(self, capsys):
         assert main(["verify", "--report", "/nonexistent/file.json"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_stats_stdout_equals_out_file(self, tmp_path, capsysbinary):
+        argv = ["stats", "--probe", "cycles", "--n", "6", "--samples", "50", "--seed", "1"]
+        out = tmp_path / "stats.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        capsysbinary.readouterr()
+        assert main(argv) == 0
+        assert capsysbinary.readouterr().out == out.read_bytes()
+
+
+def write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+# each invocation is bad input: it must exit 1 with one 'error:' line, not a traceback
+BAD_INVOCATIONS = {
+    "moment n below range": lambda tmp: ["stats", "--probe", "moment", "--n", "3", "--p", "0.5"],
+    "gap n zero": lambda tmp: ["stats", "--probe", "gap", "--n", "0", "--p", "0.5"],
+    "header not integers": lambda tmp: [
+        "oracle", "--digraph", write(tmp, "d.txt", "a b\n")],
+    "header negative n": lambda tmp: [
+        "oracle", "--digraph", write(tmp, "d.txt", "-1 0\n")],
+    "edge line not integers": lambda tmp: [
+        "verify", "--digraph", write(tmp, "d.txt", "3 1\n1 x\n"),
+        "--cycles", write(tmp, "c.json", "[]")],
+    "report not a report": lambda tmp: ["verify", "--report", write(tmp, "r.json", "{}")],
+    "cycles not a list": lambda tmp: [
+        "verify", "--digraph", write(tmp, "d.txt", "3 0\n"),
+        "--cycles", write(tmp, "c.json", "5")],
+    "cycles not integer lists": lambda tmp: [
+        "verify", "--digraph", write(tmp, "d.txt", "3 0\n"),
+        "--cycles", write(tmp, "c.json", '[[1, 2, "3"]]')],
+    "negative retries": lambda tmp: [
+        "decompose", "--n", "12", "--p", "0.5", "--q-override", "1", "--retries", "-1"],
+    "zero tmax": lambda tmp: [
+        "decompose", "--n", "12", "--p", "0.5", "--tmax", "0",
+        "--out", str(tmp / "rep.json")],
+    "sweep zero tmax": lambda tmp: [
+        "sweep", "--n", "12", "--p", "0.5", "--trials", "1", "--jobs", "1", "--tmax", "0"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INVOCATIONS))
+def test_bad_input_exits_one_without_traceback(case, tmp_path, capsys):
+    assert main(BAD_INVOCATIONS[case](tmp_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
