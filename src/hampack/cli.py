@@ -14,14 +14,12 @@ import os
 import sys
 from pathlib import Path
 
-import jsonschema
-
 from .errors import DimensionError, InvalidInputError, ParameterRangeError, SizeError
 from .graphs import BipartiteGraph, Digraph
 from .matching import GALE_RYSER_MAX_N, gale_ryser_bruteforce, find_r_factor
 from .oracle import brute_force_psi
-from .pipeline import full_pipeline, phase_one
-from .runner import TrialConfig, emit, load_report_schema, run_trials, write_stats_csv
+from .pipeline import full_pipeline, phase_one, report_schema_error
+from .runner import TrialConfig, emit, run_trials, write_stats_csv
 from .stats import (degree_gap_probe, designation_moment_estimate,
                     permutation_cycle_stats)
 from .verify import delta_pm, verify_packing
@@ -35,6 +33,21 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(",") if part.strip())
+
+
+# the trial flags several commands share, each declared (and defaulted) here once
+_TRIAL_FLAGS = {
+    "--seed": dict(type=int, default=0),
+    "--mode": dict(choices=["practical", "strict"], default="practical"),
+    "--retries": dict(type=int, default=3),
+    "--tmax": dict(type=int, default=10, dest="t_max"),
+    "--q-override": dict(type=float, default=None),
+}
+
+
+def _add_trial_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        parser.add_argument(flag, **_TRIAL_FLAGS[flag])
 
 
 def _print_or_write(doc: dict, out: str | None) -> None:
@@ -54,18 +67,13 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="run the generation phase only")
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--p", type=float, required=True)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--mode", choices=["practical", "strict"], default="practical")
+    _add_trial_flags(gen, "--seed", "--mode")
     gen.add_argument("--out", help="output JSON path (default: stdout)")
 
     dec = sub.add_parser("decompose", help="run one full trial")
     dec.add_argument("--n", type=int, required=True)
     dec.add_argument("--p", type=float, required=True)
-    dec.add_argument("--seed", type=int, default=0)
-    dec.add_argument("--mode", choices=["practical", "strict"], default="practical")
-    dec.add_argument("--retries", type=int, default=3)
-    dec.add_argument("--tmax", type=int, default=10, dest="t_max")
-    dec.add_argument("--q-override", type=float, default=None)
+    _add_trial_flags(dec, "--seed", "--mode", "--retries", "--tmax", "--q-override")
     dec.add_argument("--out", help="report JSON path (default: stdout)")
 
     ver = sub.add_parser("verify", help="check a report replay or a cycle family")
@@ -87,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="edge density (moment) or round-one density (gap)")
     sta.add_argument("--samples", type=int, default=10000)
     sta.add_argument("--trials", type=int, default=100)
-    sta.add_argument("--seed", type=int, default=0)
+    _add_trial_flags(sta, "--seed")
     sta.add_argument("--exhaustive", action="store_true")
     sta.add_argument("--out", help="CSV path (default: stdout)")
 
@@ -96,12 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated sizes, e.g. 50,100")
     swp.add_argument("--p", type=float, default=None)
     swp.add_argument("--p-grid", type=_float_list, default=None)
-    swp.add_argument("--seed", type=int, default=0)
+    _add_trial_flags(swp, "--seed")
     swp.add_argument("--trials", type=int, default=10)
-    swp.add_argument("--mode", choices=["practical", "strict"], default="practical")
-    swp.add_argument("--retries", type=int, default=3)
-    swp.add_argument("--tmax", type=int, default=10, dest="t_max")
-    swp.add_argument("--q-override", type=float, default=None)
+    _add_trial_flags(swp, "--mode", "--retries", "--tmax", "--q-override")
     swp.add_argument("--jobs", type=int, default=0,
                      help="worker processes (0 = all cores)")
     swp.add_argument("--format", choices=["json", "csv", "both"], default="both")
@@ -111,14 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_budgets(args) -> None:
-    """Reject budgets no trial report can hold, before any trial runs."""
-    if args.retries < 0:
-        raise InvalidInputError(f"need --retries >= 0, got {args.retries}")
-    if args.t_max < 1:
-        raise InvalidInputError(f"need --tmax >= 1, got {args.t_max}")
-
-
 def _cmd_generate(args) -> int:
     doc = phase_one(args.n, args.p, args.seed, mode=args.mode)
     _print_or_write(doc, args.out)
@@ -126,7 +123,6 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    _check_budgets(args)
     report = full_pipeline(n=args.n, p=args.p, seed=args.seed, mode=args.mode,
                            retries=args.retries, t_max=args.t_max,
                            q_override=args.q_override)
@@ -142,10 +138,8 @@ def _cmd_decompose(args) -> int:
 def _cmd_verify(args) -> int:
     if args.report:
         doc = json.loads(Path(args.report).read_text(encoding="utf-8"))
-        try:
-            jsonschema.validate(doc, load_report_schema())
-        except jsonschema.ValidationError as exc:
-            raise InvalidInputError(f"{args.report} is not a trial report: {exc.message}")
+        if (error := report_schema_error(doc)) is not None:
+            raise InvalidInputError(f"{args.report} is not a trial report: {error.message}")
         replayed = full_pipeline(**doc["config"])
         same = replayed.to_json_dict() == doc
         print(json.dumps({
@@ -233,7 +227,6 @@ def _cmd_sweep(args) -> int:
     else:
         print("sweep needs --p or --p-grid", file=sys.stderr)
         return 1
-    _check_budgets(args)
     jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
     config = TrialConfig(n_values=args.n, p_values=p_values, seed=args.seed,
                          mode=args.mode, trials=args.trials, retries=args.retries,

@@ -208,14 +208,14 @@ def merge_two_cycles(cycle: Cycle, absorbee: Cycle, v1: int, avail: AvailableEdg
     The two cycles must be vertex-disjoint and v1 must lie on the absorbee.
     On success the merged cycle spans both vertex sets and the consumed
     edges have left the availability pool; on failure the pool is
-    untouched.  Practical mode retries up to settings.retries times with
-    fresh randomness from the same streams.
+    untouched.  A failed attempt is retried up to settings.retries times
+    (always 0 in strict mode) with fresh randomness from the same streams.
     """
     if v1 not in absorbee.vertices:
         raise InvalidInputError(f"designated vertex {v1} is not on the absorbed cycle")
     if set(cycle.vertices) & set(absorbee.vertices):
         raise InvalidInputError("cycles to merge must be vertex-disjoint")
-    attempts_allowed = 1 + (settings.retries if settings.mode == "practical" else 0)
+    attempts_allowed = 1 + settings.retries
     last_failure: Failure | None = None
     for attempt in range(1, attempts_allowed + 1):
         got = _merge_once(cycle, absorbee, v1, avail, settings, ledger,

@@ -5,15 +5,19 @@ family and the one-factors through a uniform permutation, then converts
 each factor to a Hamilton cycle with rotation sprinkling, all on dedicated
 seeded streams.  Everything observable lands in a TrialReport whose JSON
 form is byte-stable for a fixed configuration, so replays can be compared
-directly.  Stage failures and parameter errors are recorded in the report,
-never raised.
+directly.  A config the report schema cannot hold raises InvalidInputError;
+stage failures and configs the analysis rejects are recorded, never raised.
 """
 
+import functools
+import importlib.resources
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from jsonschema import Draft7Validator, ValidationError
+from jsonschema.exceptions import best_match
 
 from .errors import Failure, InvalidInputError, ParameterRangeError
 from .exposure import (ExposureLedger, Params, coupling_audit, derive_parameters,
@@ -27,7 +31,7 @@ from .rng import SeededRng, streams
 from .verify import verify_packing
 
 __all__ = ["TrialReport", "Generation", "generate", "full_pipeline", "phase_one",
-           "HEAVY_LEVEL"]
+           "HEAVY_LEVEL", "check_trial_config", "load_report_schema", "report_schema_error"]
 
 HEAVY_LEVEL = 1.0 / 9.0
 
@@ -49,6 +53,34 @@ def _json_safe(obj):
 
 def _stage(name: str, status: str, detail: dict) -> dict:
     return {"stage": name, "status": status, "detail": detail}
+
+
+@functools.cache
+def load_report_schema() -> dict:
+    """The shipped trial-report schema, read once per process; do not mutate it."""
+    ref = importlib.resources.files("hampack") / "schemas" / "trial_report.schema.json"
+    return json.loads(ref.read_text(encoding="utf-8"))
+
+
+@functools.cache
+def _report_validator() -> Draft7Validator:
+    return Draft7Validator(load_report_schema())
+
+
+def report_schema_error(doc: dict) -> ValidationError | None:
+    """The most relevant way doc breaks the report schema, or None if it holds."""
+    return best_match(_report_validator().iter_errors(doc))
+
+
+def check_trial_config(config: dict) -> None:
+    """Raise InvalidInputError, naming the knob, if the report schema's config
+    block cannot hold config; what the analysis rejects passes here."""
+    validator = _report_validator()
+    block = validator.evolve(schema=validator.schema["properties"]["config"])
+    error = best_match(block.iter_errors(config))
+    if error is not None:
+        where = ".".join(["config", *map(str, error.absolute_path)])
+        raise InvalidInputError(f"{where}: {error.message}")
 
 
 @dataclass
@@ -85,18 +117,15 @@ class TrialReport:
     exposure_ledger: ExposureLedger | None = field(default=None, repr=False,
                                                   compare=False)
 
+    def config(self) -> dict:
+        """The knobs that replay this trial as full_pipeline(**config)."""
+        return {k: getattr(self, k) for k in
+                ("n", "p", "seed", "mode", "retries", "t_max", "q_override")}
+
     def to_json_dict(self) -> dict:
         return _json_safe({
             "schema": "hampack/trial-report/v1",
-            "config": {
-                "n": self.n,
-                "p": self.p,
-                "seed": self.seed,
-                "mode": self.mode,
-                "retries": self.retries,
-                "t_max": self.t_max,
-                "q_override": self.q_override,
-            },
+            "config": self.config(),
             "params": self.params,
             "delta": self.delta,
             "outcome": self.outcome,
@@ -236,13 +265,15 @@ def full_pipeline(n: int, p: float, seed: int, mode: str = "practical",
 
     q_override replaces the derived sprinkling probability for the merge
     phase only (practical mode only); the natural value stays in the
-    parameter block so the report shows both.
+    parameter block so the report shows both.  A config the report schema
+    cannot hold raises InvalidInputError before any draw.
     """
     stages: list[dict] = []
     report = TrialReport(n=n, p=p, seed=seed, mode=mode, retries=retries,
                          t_max=t_max, q_override=q_override, params=None,
                          delta=None, outcome="ERROR", failure_stage=None,
                          stage_outcomes=stages)
+    check_trial_config(report.config())
 
     try:
         if q_override is not None:

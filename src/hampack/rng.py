@@ -14,6 +14,8 @@ import zlib
 
 import numpy as np
 
+from .errors import InvalidInputError
+
 __all__ = ["SeededRng", "STREAM_LABELS", "streams"]
 
 # canonical stream labels used by the trial pipeline
@@ -25,6 +27,8 @@ class SeededRng:
 
     def __init__(self, seed: int, stream: str):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise InvalidInputError(f"need seed >= 0, got {seed}")
         self.stream = stream
         crc = zlib.crc32(stream.encode("utf-8"))
         self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence([self.seed, crc])))

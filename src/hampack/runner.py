@@ -9,17 +9,16 @@ projection leaves out.
 """
 
 import csv
-import importlib.resources
 import json
 import re
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-
-import jsonschema
+from dataclasses import asdict, dataclass, field
 
 from .errors import InvalidInputError
-from .pipeline import TrialReport, full_pipeline
+from .pipeline import (TrialReport, check_trial_config, full_pipeline,
+                       load_report_schema, report_schema_error)
 
 __all__ = ["TrialConfig", "BatchSummary", "run_trials", "emit",
            "load_report_schema", "TRIAL_CSV_COLUMNS", "STATS_CSV_COLUMNS",
@@ -53,8 +52,11 @@ class TrialConfig:
             raise InvalidInputError(f"need trials >= 0, got {self.trials}")
         if self.jobs < 1:
             raise InvalidInputError(f"need jobs >= 1, got {self.jobs}")
-        if self.mode not in ("practical", "strict"):
-            raise InvalidInputError(f"unknown mode {self.mode!r}")
+        for n in self.n_values:  # a bad knob fails before any trial runs
+            for p in self.p_values:
+                check_trial_config(dict(n=n, p=p, seed=self.seed, mode=self.mode,
+                                        retries=self.retries, t_max=self.t_max,
+                                        q_override=self.q_override))
 
     def tasks(self) -> list[tuple]:
         return [(n, p, self.seed + t, self.mode, self.retries, self.t_max,
@@ -125,54 +127,47 @@ def _trial_row(report: TrialReport, trial: int) -> dict:
 
 def _summarize(config: TrialConfig, tasks: list[tuple],
                reports: list[TrialReport], seconds: float) -> BatchSummary:
-    rows = [_trial_row(report, task[-1]) for task, report in zip(tasks, reports)]
+    # one pass folds each trial into its cell
+    grid = [(n, p) for n in config.n_values for p in config.p_values]
+    folds = {cell: (Counter(), Counter(), Counter(), []) for cell in grid}
+    rows = []
+    for task, r in zip(tasks, reports):
+        rows.append(_trial_row(r, task[-1]))
+        outcomes, stages, attempts, deltas = folds[task[:2]]
+        outcomes[r.outcome] += 1
+        if r.outcome != "SUCCESS":
+            stages[_stage_key(r.failure_stage)] += 1
+        if r.ledger_audit is not None:
+            attempts[str(r.ledger_audit["max_attempts"])] += 1
+        if r.delta is not None:
+            deltas.append(r.delta)
 
     cells = []
-    for n in config.n_values:
-        for p in config.p_values:
-            cell_rows = [(task, rep) for task, rep in zip(tasks, reports)
-                         if task[0] == n and task[1] == p]
-            successes = sum(1 for _, r in cell_rows if r.outcome == "SUCCESS")
-            errors = sum(1 for _, r in cell_rows if r.outcome == "ERROR")
-            breakdown: dict[str, int] = {}
-            for _, r in cell_rows:
-                if r.outcome != "SUCCESS":
-                    key = _stage_key(r.failure_stage)
-                    breakdown[key] = breakdown.get(key, 0) + 1
-            deltas = [r.delta for _, r in cell_rows if r.delta is not None]
-            attempts: dict[str, int] = {}
-            for _, r in cell_rows:
-                if r.ledger_audit is not None:
-                    k = str(r.ledger_audit["max_attempts"])
-                    attempts[k] = attempts.get(k, 0) + 1
-            total = len(cell_rows)
-            cells.append({
-                "n": n,
-                "p": p,
-                "trials": total,
-                "successes": successes,
-                "success_rate": successes / total if total else None,
-                "errors": errors,
-                "failure_stages": {k: breakdown[k] for k in sorted(breakdown)},
-                "mean_delta": sum(deltas) / len(deltas) if deltas else None,
-                "max_attempts_histogram":
-                    {k: attempts[k] for k in sorted(attempts, key=int)},
-            })
+    for n, p in grid:
+        outcomes, stages, attempts, deltas = folds[n, p]
+        total, successes = outcomes.total(), outcomes["SUCCESS"]
+        cells.append({
+            "n": n,
+            "p": p,
+            "trials": total,
+            "successes": successes,
+            "success_rate": successes / total if total else None,
+            "errors": outcomes["ERROR"],
+            "failure_stages": {k: stages[k] for k in sorted(stages)},
+            "mean_delta": sum(deltas) / len(deltas) if deltas else None,
+            "max_attempts_histogram": {k: attempts[k] for k in sorted(attempts, key=int)},
+        })
 
     runtime = {
         "total_seconds": seconds,
         "mean_seconds_per_trial": seconds / len(tasks) if tasks else 0.0,
     }
-    return BatchSummary(config={
-        "n_values": list(config.n_values),
-        "p_values": list(config.p_values),
-        "seed": config.seed,
-        "mode": config.mode,
-        "trials": config.trials,
-        "retries": config.retries,
-        "t_max": config.t_max,
-        "q_override": config.q_override,
-    }, cells=cells, trial_rows=rows, runtime=runtime)
+    # the worker count cannot change the results, so the summary leaves it out
+    summary_config = asdict(config)
+    del summary_config["jobs"]
+    summary_config.update(n_values=list(config.n_values), p_values=list(config.p_values))
+    return BatchSummary(config=summary_config, cells=cells, trial_rows=rows,
+                        runtime=runtime)
 
 
 def run_trials(config: TrialConfig) -> tuple[BatchSummary, list[TrialReport]]:
@@ -193,17 +188,6 @@ def run_trials(config: TrialConfig) -> tuple[BatchSummary, list[TrialReport]]:
     return _summarize(config, tasks, reports, seconds), reports
 
 
-def load_report_schema() -> dict:
-    ref = importlib.resources.files("hampack") / "schemas" / "trial_report.schema.json"
-    return json.loads(ref.read_text(encoding="utf-8"))
-
-
-def _validate_report_dict(doc: dict) -> None:
-    # a schema violation here means the pipeline built a malformed report,
-    # which is a bug, not a user error
-    jsonschema.validate(doc, load_report_schema())
-
-
 def emit(obj, format: str, path) -> None:
     """Write a report or summary as json or csv.
 
@@ -213,16 +197,13 @@ def emit(obj, format: str, path) -> None:
     """
     path = str(path)
     if format == "json":
-        if isinstance(obj, TrialReport):
-            doc = obj.to_json_dict()
-            _validate_report_dict(doc)
-            payload = json.dumps(doc, indent=2) + "\n"
-        elif isinstance(obj, BatchSummary):
-            payload = json.dumps(obj.to_json_dict(), indent=2) + "\n"
-        else:
+        if not isinstance(obj, (TrialReport, BatchSummary)):
             raise InvalidInputError(f"cannot emit {type(obj).__name__} as json")
+        doc = obj.to_json_dict()
+        if isinstance(obj, TrialReport) and (error := report_schema_error(doc)) is not None:
+            raise error  # the pipeline built a malformed report: a bug
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+            fh.write(json.dumps(doc, indent=2) + "\n")
         return
     if format == "csv":
         if isinstance(obj, BatchSummary):

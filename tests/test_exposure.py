@@ -110,6 +110,10 @@ class TestSeededRng:
         got = rng.sample(seq, 10)
         assert len(set(got)) == 10
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidInputError, match="need seed >= 0, got -1"):
+            SeededRng(-1, "phase1")
+
 
 class TestExposeAndLedger:
     def test_attempts_and_successes_recorded(self):

@@ -1,11 +1,14 @@
 """Rotation engine: quarters, the two surgeries, sprinkled rounds, replay."""
 
+import hashlib
+import json
 import math
 
 import pytest
 
 from hampack.errors import Failure, InvalidInputError, ParameterRangeError
 from hampack.exposure import AvailableEdgeSet, ExposureLedger
+from hampack.graphs import Digraph
 from hampack.rng import SeededRng
 from hampack.rotation import (
     RotationState,
@@ -275,3 +278,52 @@ class TestRotateToTarget:
                 for re in out.end_set("right", out.t_right):
                     path = reconstruct_path(out, le, re)
                     assert sorted(path) == sorted(base)
+
+
+def rotation_results(n: int, blocked_density: float, target: int, t_max: int,
+                     seed: int) -> dict:
+    """Draw-visible results of one rotate_to_target run on the path 1..n.
+
+    The pool holds the pairs a Bernoulli(blocked_density) digraph misses,
+    so at high densities each round finds few connecting edges; with
+    n > 100 ln n the sprinkle probability is below 1 and the draws matter.
+    """
+    mask = SeededRng(seed, "phase1").bernoulli_matrix(n, n, blocked_density)
+    mask[range(n), range(n)] = False
+    tails, heads = mask.nonzero()
+    pool = AvailableEdgeSet(Digraph(n, (tails + 1, heads + 1)))
+    ledger = ExposureLedger()
+    out = rotate_to_target(tuple(range(1, n + 1)), pool, ledger,
+                           SeededRng(seed, "sprinkling"), target=target,
+                           t_max=t_max, n=n)
+    doc = {"attempts": sorted([list(e), c] for e, c in ledger.attempts.items())}
+    if isinstance(out, Failure):
+        doc["failure"] = [out.stage, out.detail]
+    else:
+        doc.update(round_log=out.round_log, t_left=out.t_left, t_right=out.t_right,
+                   lefts=out.end_set("left", out.t_left),
+                   rights=out.end_set("right", out.t_right),
+                   exposed=sorted(out.exposed_success))
+    return doc
+
+
+# sha256 of json.dumps(rotation_results(...)) for (n, blocked density,
+# target, t_max, seed): several rounds on one or both sides, and a right
+# side that runs out of rounds.  Update only together with a CHANGES.md
+# entry that says why the rotation draws changed.
+PINNED_ROTATION_SHA256 = {
+    (900, 0.99, 5, 10, 2): "62ecda3f638c2a0f4b93f4c130a5c962c54bd02498b7315b2ebece9bbd6e4021",
+    (800, 0.985, 6, 10, 3): "fed8e610668db29ab980b52689e871b459305597c678445f18e4af4fdb66813b",
+    (1000, 0.99, 8, 10, 5): "6019f294e0f1c23a31366461c438a05729cfed821301f6bf9d6886881a0bbc6f",
+    (900, 0.99, 30, 2, 4): "227c8faf6dc471faa16aac751284528fdadf61297a4fe5947b690986bd839af9",
+}
+
+
+def test_rotation_bytes_pinned():
+    docs = {cfg: rotation_results(*cfg) for cfg in PINNED_ROTATION_SHA256}
+    assert [(d.get("t_left"), d.get("t_right")) for d in docs.values()] == [
+        (2, 1), (1, 2), (2, 3), (None, None)]
+    assert docs[900, 0.99, 30, 2, 4]["failure"][0] == "rotate.right"
+    got = {cfg: hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+           for cfg, doc in docs.items()}
+    assert got == PINNED_ROTATION_SHA256

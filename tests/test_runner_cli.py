@@ -1,15 +1,18 @@
 """Batch runner, emission formats, and the command-line front door."""
 
 import csv
+import hashlib
 import json
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hampack.cli import main
 from hampack.errors import InvalidInputError
 from hampack.graphs import BipartiteGraph, Digraph
-from hampack.pipeline import full_pipeline
+import hampack.runner
+from hampack.pipeline import full_pipeline, report_schema_error
 from hampack.runner import (
     STATS_CSV_COLUMNS,
     TRIAL_CSV_COLUMNS,
@@ -47,6 +50,22 @@ class TestTrialConfig:
     def test_seeds_derived_from_trial_index(self):
         tasks = small_config(trials=3).tasks()
         assert [t[2] for t in tasks] == [3, 4, 5]
+
+    @pytest.mark.parametrize("knobs, message", [
+        ({"retries": -1}, "config.retries: -1 is less than the minimum of 0"),
+        ({"t_max": 0}, "config.t_max: 0 is less than the minimum of 1"),
+        ({"n_values": (12, -5)}, "config.n: -5 is less than the minimum of 0"),
+        ({"p_values": (0.5, 1.5)}, "config.p: 1.5 is greater than the maximum of 1"),
+    ])
+    def test_rejects_what_no_report_can_hold(self, knobs, message):
+        with pytest.raises(InvalidInputError, match=message):
+            small_config(**knobs)
+
+    def test_accepts_what_the_analysis_rejects(self):
+        # n < 5 and an out-of-range q_override are ERROR reports, not bad configs
+        summary, reports = run_trials(small_config(n_values=(3,), q_override=2.0, trials=2))
+        assert [r.outcome for r in reports] == ["ERROR", "ERROR"]
+        assert summary.cells[0]["errors"] == 2
 
 
 class TestStageKey:
@@ -92,6 +111,22 @@ class TestRunTrials:
         assert seq.deterministic_projection() == par.deterministic_projection()
         assert [r.json_bytes() for r in rs] == [r.json_bytes() for r in rp]
 
+    def test_summary_bytes_pinned(self):
+        # computed before the summary became a one-pass fold: an ERROR cell,
+        # trivial successes, a cell mixing success with step2 and step5
+        # failures, and histogram keys that sort as integers (9 before 10)
+        summary, _ = run_trials(small_config(n_values=(3, 12, 20), p_values=(0.0, 0.5),
+                                             seed=5, trials=5))
+        assert summary.cells[-1]["max_attempts_histogram"] == {"1": 1, "7": 1, "9": 2, "10": 1}
+        got = hashlib.sha256(json.dumps(summary.deterministic_projection()).encode())
+        assert (got.hexdigest()
+                == "962dddb0c2e7ea1bcdd925955049d6428ac7ad4103e3a80e7748f6c4f27f7a28")
+
+    def test_repeated_grid_value_cells_match(self):
+        summary, _ = run_trials(small_config(n_values=(12, 12), trials=2))
+        first, second = summary.cells
+        assert first == second and first["trials"] == 4
+
     def test_summary_aggregates_reports_exactly(self):
         summary, reports = run_trials(small_config(trials=5))
         assert len(summary.trial_rows) == 5
@@ -118,6 +153,9 @@ class TestEmit:
         schema = load_report_schema()
         assert schema["$id"] == "hampack/trial-report/v1"
         assert "cycles" in schema["required"]
+
+    def test_schema_read_once_per_process(self):
+        assert hampack.runner.load_report_schema() is load_report_schema()
 
     def test_summary_csv_row_count(self, tmp_path):
         summary, _ = run_trials(small_config(trials=5))
@@ -264,6 +302,51 @@ class TestCli:
         assert capsysbinary.readouterr().out == out.read_bytes()
 
 
+class TestTrialContract:
+    """A config the report schema cannot hold raises; one it holds is a report."""
+
+    @pytest.mark.parametrize("knobs, message", [
+        ({"retries": -1}, "config.retries: -1 is less than the minimum of 0"),
+        ({"t_max": 0}, "config.t_max: 0 is less than the minimum of 1"),
+        ({"mode": "fast"}, "config.mode: 'fast' is not one of"),
+        ({"n": -5}, "config.n: -5 is less than the minimum of 0"),
+        ({"p": -0.1}, "config.p: -0.1 is less than the minimum of 0"),
+        ({"seed": -1}, "need seed >= 0, got -1"),
+    ])
+    def test_bad_config_raises_before_any_draw(self, knobs, message):
+        cfg = dict(n=12, p=0.5, seed=7, q_override=1.0)
+        cfg.update(knobs)
+        with pytest.raises(InvalidInputError, match=message):
+            full_pipeline(**cfg)
+
+    @pytest.mark.parametrize("knobs", [
+        {"n": 4}, {"mode": "strict"}, {"q_override": 1.5}, {"mode": "strict", "q_override": 0.5},
+    ])
+    def test_analysis_rejection_is_an_error_report(self, knobs):
+        cfg = dict(n=12, p=0.5, seed=7, q_override=None)
+        cfg.update(knobs)
+        report = full_pipeline(**cfg)
+        assert report.outcome == "ERROR" and report.failure_stage == "parameters"
+        assert report_schema_error(report.to_json_dict()) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([-1, 0, 3, 8, 12]),
+           p=st.sampled_from([-0.5, 0.0, 0.3, 1.0, 1.5]),
+           seed=st.integers(-2, 3),
+           mode=st.sampled_from(["practical", "strict", "fast"]),
+           retries=st.integers(-2, 2),
+           t_max=st.integers(-1, 3),
+           q_override=st.sampled_from([None, -0.5, 0.0, 1.0, 2.0]))
+    def test_raises_or_reports_within_schema(self, n, p, seed, mode, retries, t_max,
+                                             q_override):
+        try:
+            report = full_pipeline(n, p, seed, mode=mode, retries=retries, t_max=t_max,
+                                   q_override=q_override)
+        except InvalidInputError:
+            return
+        assert report_schema_error(report.to_json_dict()) is None
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -295,6 +378,23 @@ BAD_INVOCATIONS = {
         "--out", str(tmp / "rep.json")],
     "sweep zero tmax": lambda tmp: [
         "sweep", "--n", "12", "--p", "0.5", "--trials", "1", "--jobs", "1", "--tmax", "0"],
+    "negative n": lambda tmp: [
+        "decompose", "--n", "-5", "--p", "0.5", "--out", str(tmp / "f")],
+    "p above one": lambda tmp: [
+        "decompose", "--n", "12", "--p", "1.5", "--out", str(tmp / "f")],
+    "sweep negative n": lambda tmp: [
+        "sweep", "--n", "-5", "--p", "0.5", "--trials", "1", "--jobs", "1",
+        "--out-dir", str(tmp / "d"), "--save-reports"],
+    "sweep negative retries": lambda tmp: [
+        "sweep", "--n", "12", "--p", "0.5", "--trials", "1", "--jobs", "1", "--retries", "-1"],
+    "decompose negative seed": lambda tmp: [
+        "decompose", "--n", "12", "--p", "0.5", "--seed", "-1"],
+    "generate negative seed": lambda tmp: [
+        "generate", "--n", "12", "--p", "0.5", "--seed", "-1"],
+    "sweep negative seed": lambda tmp: [
+        "sweep", "--n", "12", "--p", "0.5", "--trials", "1", "--jobs", "1", "--seed", "-1"],
+    "stats negative seed": lambda tmp: [
+        "stats", "--probe", "cycles", "--n", "6", "--samples", "10", "--seed", "-1"],
 }
 
 
