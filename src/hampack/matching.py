@@ -12,11 +12,23 @@ r-factor (an r-regular spanning subgraph):
 
 An r-factor splits into r edge-disjoint perfect matchings by repeatedly
 extracting a perfect matching and removing it; regularity is preserved at
-each step, so the extraction never gets stuck.  All augmenting searches run
-in lowest-index-first order, making every output deterministic.
+each step, so the extraction never gets stuck.
+
+Every output is fixed by a lowest-index-first order: Dinic's blocking flow
+(Dinic, 1970) with arcs tried by ascending index for the factor, and
+Hopcroft-Karp (1973) with neighbours scanned ascending for each matching.
+Both algorithms do almost all of their work in their first phase, and in
+that phase the order pins the result down to a plain greedy pass: each x in
+turn takes its lowest ys that still have room.  Both routines run their
+first phase as that pass, and later phases on flat per-vertex state with
+searches on explicit stacks, so that a long augmenting path cannot
+overflow Python's stack.  Their BFS layers are distances, which do not
+depend on the order the BFS visits vertices in, so a BFS may stop once the
+rest of it cannot change anything the search reads.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -46,14 +58,23 @@ class MatchingFamily:
     matchings: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        seen: set[tuple[int, int]] = set()
-        for m in self.matchings:
-            if sorted(m) != list(range(1, self.n + 1)):
-                raise InvalidInputError(f"matching {m} is not a bijection on 1..{self.n}")
-            for x, y in enumerate(m, start=1):
-                if (x, y) in seen:
-                    raise InvalidInputError(f"edge (x{x},y{y}) repeats across matchings")
-                seen.add((x, y))
+        n = self.n
+        # the first matching that is not a bijection; no edge may repeat
+        # before it
+        bad = next((i for i, m in enumerate(self.matchings)
+                    if sorted(m) != list(range(1, n + 1))), len(self.matchings))
+        if bad:
+            # edge (x, y) as the key x (n + 1) + y, in (matching, x) order
+            keys = (np.arange(1, n + 1) * (n + 1) + np.array(self.matchings[:bad])).ravel()
+            first = np.zeros(keys.size, dtype=bool)
+            first[np.unique(keys, return_index=True)[1]] = True
+            if not first.all():
+                i = int(first.argmin())
+                raise InvalidInputError(
+                    f"edge (x{i % n + 1},y{keys[i] % (n + 1)}) repeats across matchings")
+        if bad < len(self.matchings):
+            raise InvalidInputError(
+                f"matching {self.matchings[bad]} is not a bijection on 1..{n}")
 
     def __len__(self) -> int:
         return len(self.matchings)
@@ -104,69 +125,35 @@ def gale_ryser_bruteforce(bipartite: BipartiteGraph, r: int) -> bool:
     return _gale_ryser_violation(bipartite, r) is None
 
 
-class _Dinic:
-    """Max flow with deterministic lowest-index augmenting order."""
-
-    def __init__(self, num_nodes: int):
-        self.num_nodes = num_nodes
-        self.head: list[list[int]] = [[] for _ in range(num_nodes)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-
-    def add_edge(self, u: int, v: int, cap: int) -> int:
-        idx = len(self.to)
-        self.head[u].append(idx)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.head[v].append(idx + 1)
-        self.to.append(u)
-        self.cap.append(0)
-        return idx
-
-    def max_flow(self, s: int, t: int) -> int:
-        flow = 0
-        while True:
-            level = [-1] * self.num_nodes
-            level[s] = 0
-            queue = [s]
-            for u in queue:
-                for idx in self.head[u]:
-                    v = self.to[idx]
-                    if self.cap[idx] > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
-                        queue.append(v)
-            if level[t] < 0:
-                return flow
-            ptr = [0] * self.num_nodes
-
-            def dfs(u: int, pushed: int) -> int:
-                if u == t:
-                    return pushed
-                while ptr[u] < len(self.head[u]):
-                    idx = self.head[u][ptr[u]]
-                    v = self.to[idx]
-                    if self.cap[idx] > 0 and level[v] == level[u] + 1:
-                        got = dfs(v, min(pushed, self.cap[idx]))
-                        if got > 0:
-                            self.cap[idx] -= got
-                            self.cap[idx ^ 1] += got
-                            return got
-                    ptr[u] += 1
-                return 0
-
-            while True:
-                pushed = dfs(s, 1 << 60)
-                if pushed == 0:
-                    break
-                flow += pushed
+def _row_starts(rows: list[list[int]]) -> list[int]:
+    """Where each row starts when the rows are laid end to end: row v is
+    positions starts[v] .. starts[v + 1] - 1."""
+    return list(accumulate(map(len, rows), initial=0))
 
 
 def find_r_factor(bipartite: BipartiteGraph, r: int):
     """An r-factor of the graph as a BipartiteGraph, or None if none exists.
 
-    Built from the flow network source -> X (capacity r), unit edges across
-    the bipartition, Y -> sink (capacity r); a flow of value r*n saturates
-    exactly the arcs of an r-factor.
+    The factor is the saturated cross arcs of a maximum flow in the network
+    source -> x (capacity r), x -> y (capacity 1) for each edge, y -> sink
+    (capacity r): a flow of value r*n exists exactly when an r-factor does.
+
+    The flow is Dinic's, with each phase's blocking flow found by a
+    depth-first search that tries the source's arcs by ascending x, each
+    x's arcs by ascending y, and each y's back arcs (to the xs that send it
+    flow) by ascending x before its arc to the sink.  Every augmenting path
+    carries one unit, and within a phase an arc that stops being admissible
+    never becomes admissible again, so a phase's augmenting paths are, one
+    after another, the first admissible path in that order.
+
+    In the first phase every x is at level 1, every y at level 2, the sink
+    at 3 and no back arc is admissible, so every path is source -> x -> y
+    -> sink and the blocking flow is: each x in turn takes its lowest ys
+    that still have room at the sink, up to r.  That phase runs as a plain
+    loop.  Each later phase builds its levels by BFS, stopping at the sink's
+    level (no admissible path runs through a vertex at or past it), and
+    finds its paths with an explicit stack whose per-vertex pointers move
+    exactly where a recursive search's would.
     """
     n = bipartite.n
     if r < 0:
@@ -175,52 +162,152 @@ def find_r_factor(bipartite: BipartiteGraph, r: int):
         return None
     if r == 0:
         return BipartiteGraph(n, [])
-    source, sink = 0, 2 * n + 1
-    net = _Dinic(2 * n + 2)
+    x_adj, y_adj = bipartite.x_adj, bipartite.y_adj
+    # edges are numbered in the graph's sorted (x, y) order, so x's j-th
+    # edge is first_x[x] + j; flow[e] is 1 on an edge that carries flow
+    first_x = _row_starts(x_adj)
+    flow = bytearray(bipartite.edge_count)
+    sent = [0] * (n + 1)
+    room = [0] + [r] * n
+
     for x in range(1, n + 1):
-        net.add_edge(source, x, r)
-    # the cross arcs, in the graph's sorted edge order, sit at every other
-    # index from here
-    first = len(net.to)
-    for x, y in bipartite.edges():
-        net.add_edge(x, n + y, 1)
-    for y in range(1, n + 1):
-        net.add_edge(n + y, sink, r)
-    if net.max_flow(source, sink) != r * n:
+        took = 0
+        for e, y in enumerate(x_adj[x], first_x[x]):
+            if room[y]:
+                room[y] -= 1
+                flow[e] = 1
+                took += 1
+                if took == r:
+                    break
+        sent[x] = took
+    total = sum(sent)
+
+    if total < r * n:
+        # y's j-th back arc, to its j-th lowest neighbour, is the edge
+        # back[first_y[y] + j]
+        back = memoryview(np.argsort(bipartite.ys, kind="stable"))
+        first_y = _row_starts(y_adj)
+
+    def layers():
+        # BFS levels of the residual network from the source: x -> y over an
+        # edge without flow, y -> x back over one with flow; -1 = unreached
+        level_x = [-1] * (n + 1)
+        level_y = [-1] * (n + 1)
+        frontier = [x for x in range(1, n + 1) if sent[x] < r]
+        for x in frontier:
+            level_x[x] = 1
+        level = 1
+        while frontier:
+            level += 1
+            reached = []
+            for x in frontier:
+                for e, y in enumerate(x_adj[x], first_x[x]):
+                    if level_y[y] < 0 and not flow[e]:
+                        level_y[y] = level
+                        reached.append(y)
+            if any(room[y] for y in reached):
+                return level_x, level_y, level + 1
+            level += 1
+            frontier = []
+            for y in reached:
+                for j, x in enumerate(y_adj[y], first_y[y]):
+                    if level_x[x] < 0 and flow[back[j]]:
+                        level_x[x] = level
+                        frontier.append(x)
         return None
-    saturated = np.array(net.cap[first:first + 2 * bipartite.edge_count:2]) == 0
-    return BipartiteGraph(n, (bipartite.xs[saturated], bipartite.ys[saturated]))
+
+    def augment(root: int) -> bool:
+        # push one unit along the first admissible path from root; path
+        # holds x, y, x, y, ..., and each arc on it is the one at its tail's
+        # pointer: x's index into x_adj[x], y's into y_adj[y] (its degree
+        # standing for the sink arc)
+        path = [root]
+        while path:
+            if len(path) & 1:
+                x = path[-1]
+                row, j, want = x_adj[x], ptr_x[x], level_x[x] + 1
+                base, deg = first_x[x], len(row)
+                while j < deg and (flow[base + j] or level_y[row[j]] != want):
+                    j += 1
+                ptr_x[x] = j
+                if j < deg:
+                    path.append(row[j])
+                    continue
+            else:
+                y = path[-1]
+                row, j, want = y_adj[y], ptr_y[y], level_y[y] + 1
+                base, deg = first_y[y], len(row)
+                while j < deg and (not flow[back[base + j]] or level_x[row[j]] != want):
+                    j += 1
+                ptr_y[y] = j
+                if j < deg:
+                    path.append(row[j])
+                    continue
+                if room[y] and want == sink_level:
+                    sent[root] += 1
+                    room[y] -= 1
+                    for x in path[0::2]:
+                        flow[first_x[x] + ptr_x[x]] = 1
+                    for y in path[1:-1:2]:
+                        flow[back[first_y[y] + ptr_y[y]]] = 0
+                    return True
+            # a dead end: its parent moves past the arc into it
+            path.pop()
+            if path:
+                ptr = ptr_x if len(path) & 1 else ptr_y
+                ptr[path[-1]] += 1
+        return False
+
+    while total < r * n:
+        found = layers()
+        if found is None:
+            return None
+        level_x, level_y, sink_level = found
+        ptr_x = [0] * (n + 1)
+        ptr_y = [0] * (n + 1)
+        for root in range(1, n + 1):
+            if level_x[root] == 1:
+                while sent[root] < r and augment(root):
+                    total += 1
+    used = np.frombuffer(flow, dtype=bool)
+    return BipartiteGraph(n, (bipartite.xs[used], bipartite.ys[used]))
 
 
-def _perfect_matching(n: int, adj: list[list[int]]):
-    """Hopcroft-Karp perfect matching on mutable adjacency, or None.
+def _hopcroft_karp(n: int, adj: list[list[int]]):
+    """Hopcroft-Karp perfect matching of a regular graph as a partner tuple.
 
-    adj[x] lists the neighbors of x in ascending order; scanning is always
-    lowest index first.
+    adj[x] lists x's neighbours in ascending order, at least one each, and
+    every search scans them lowest first.  None if there is no perfect
+    matching, which a regular graph always has.
+
+    In the first phase every x is free, so every BFS distance is 0: each
+    search takes the root's lowest free y or fails at once, and the phase
+    is a greedy pass.  A later BFS stops once every x has its distance,
+    since the rest of it could change neither a distance nor whether it
+    reaches a free y: it does, as every free y has a neighbour, all reached.
     """
     INF = float("inf")
     match_x = [0] * (n + 1)
     match_y = [0] * (n + 1)
-    dist = [INF] * (n + 1)
 
-    def bfs() -> bool:
-        queue = []
-        for x in range(1, n + 1):
-            if match_x[x] == 0:
-                dist[x] = 0
-                queue.append(x)
-            else:
-                dist[x] = INF
+    def bfs():
+        dist = [INF] * (n + 1)
+        queue = [x for x in range(1, n + 1) if match_x[x] == 0]
+        for x in queue:
+            dist[x] = 0
         found = False
         for x in queue:
+            if len(queue) == n:
+                return True, dist
+            d = dist[x] + 1
             for y in adj[x]:
                 nx = match_y[y]
                 if nx == 0:
                     found = True
                 elif dist[nx] is INF:
-                    dist[nx] = dist[x] + 1
+                    dist[nx] = d
                     queue.append(nx)
-        return found
+        return found, dist
 
     def dfs(root: int) -> bool:
         # augmenting-path search on an explicit stack of (vertex, neighbour
@@ -247,12 +334,19 @@ def _perfect_matching(n: int, adj: list[list[int]]):
         return False
 
     matched = 0
-    while bfs():
+    for x in range(1, n + 1):
+        for y in adj[x]:
+            if not match_y[y]:
+                match_y[y], match_x[x] = x, y
+                matched += 1
+                break
+    while matched < n:
+        found, dist = bfs()
+        if not found:
+            return None
         for x in range(1, n + 1):
             if match_x[x] == 0 and dfs(x):
                 matched += 1
-    if matched != n:
-        return None
     return tuple(match_x[1:])
 
 
@@ -260,9 +354,10 @@ def decompose_regular(regular: BipartiteGraph, r: int) -> MatchingFamily:
     """Split an r-regular bipartite graph into r edge-disjoint perfect matchings.
 
     The input must be exactly r-regular on both sides.  Matchings are
-    extracted one at a time; each extraction leaves an (r-1)-regular graph,
-    so a perfect matching always exists.  The union of the outputs is
-    exactly the input edge set.
+    extracted one at a time by _hopcroft_karp, each from what the earlier
+    ones left; each extraction leaves an (r-1)-regular graph, so a perfect
+    matching always exists.  The union of the outputs is exactly the input
+    edge set.
     """
     n = regular.n
     for x in range(1, n + 1):
@@ -271,10 +366,10 @@ def decompose_regular(regular: BipartiteGraph, r: int) -> MatchingFamily:
     for y in range(1, n + 1):
         if regular.deg_y(y) != r:
             raise InvalidInputError(f"y{y} has degree {regular.deg_y(y)}, expected {r}")
-    adj = [list(regular.x_adj[x]) for x in range(n + 1)]
+    adj = [list(row) for row in regular.x_adj]
     matchings = []
     for _ in range(r):
-        m = _perfect_matching(n, adj)
+        m = _hopcroft_karp(n, adj)
         if m is None:
             raise InvalidInputError("extraction stuck; input was not regular")
         for x, y in enumerate(m, start=1):

@@ -64,6 +64,8 @@ class MergeSettings:
             raise InvalidInputError(f"need n >= 1, got {self.n}")
         if not (0.0 <= self.q <= 1.0):
             raise InvalidInputError(f"q must lie in [0, 1], got {self.q}")
+        if self.retries < 0:
+            raise InvalidInputError(f"need retries >= 0, got {self.retries}")
         if self.mode == "strict" and self.retries:
             raise InvalidInputError("strict mode does not retry failed merges")
 

@@ -74,13 +74,20 @@ def report_schema_error(doc: dict) -> ValidationError | None:
 
 def check_trial_config(config: dict) -> None:
     """Raise InvalidInputError, naming the knob, if the report schema's config
-    block cannot hold config; what the analysis rejects passes here."""
+    block cannot hold config's knobs or one of them is a number that is not
+    finite; what the analysis rejects passes here.  config may hold fewer
+    knobs than a report does: phase one has no merge budgets."""
     validator = _report_validator()
-    block = validator.evolve(schema=validator.schema["properties"]["config"])
-    error = best_match(block.iter_errors(config))
+    block = validator.schema["properties"]["config"]
+    required = [key for key in block["required"] if key in config]
+    error = best_match(validator.evolve(schema=dict(block, required=required))
+                       .iter_errors(config))
     if error is not None:
         where = ".".join(["config", *map(str, error.absolute_path)])
         raise InvalidInputError(f"{where}: {error.message}")
+    for key, value in config.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise InvalidInputError(f"config.{key}: {value} is not a finite number")
 
 
 @dataclass
@@ -140,7 +147,7 @@ class TrialReport:
         })
 
     def json_bytes(self) -> bytes:
-        return json.dumps(self.to_json_dict(), indent=2).encode("utf-8")
+        return json.dumps(self.to_json_dict(), indent=2, allow_nan=False).encode("utf-8")
 
 
 def _screen_heaviness(d_prime: Digraph, factors: list[OneFactor]) -> dict:
@@ -219,11 +226,14 @@ def phase_one(n: int, p: float, seed: int, mode: str = "practical") -> dict:
 
     Returns a JSON-ready document with the induced subdigraph in text form,
     so the conversion phase can be studied separately.  Parameter errors
-    and missing matching families are recorded in the document.
+    and missing matching families are recorded in the document; knobs that
+    check_trial_config rejects raise InvalidInputError.
     """
+    config = {"n": n, "p": p, "seed": seed, "mode": mode}
+    check_trial_config(config)
     doc: dict = {
         "schema": "hampack/phase1/v1",
-        "config": {"n": n, "p": p, "seed": seed, "mode": mode},
+        "config": config,
         "outcome": "ERROR",
         "failure": None,
         "params": None,

@@ -4,12 +4,15 @@ The two r-factor routes are independent implementations; their agreement is
 sampled here and exhausted in the acceptance suite.
 """
 
+import hashlib
 import itertools
+import json
 
 import pytest
 
 from hampack.errors import Failure, InvalidInputError, SizeError
-from hampack.graphs import BipartiteGraph
+from hampack.exposure import derive_parameters, first_exposure, second_exposure
+from hampack.graphs import BipartiteGraph, min_degree_vertices
 from hampack.matching import (
     MatchingFamily,
     decompose_regular,
@@ -18,7 +21,7 @@ from hampack.matching import (
     gale_ryser_bruteforce,
 )
 from hampack.pipeline import phase_one
-from hampack.rng import SeededRng
+from hampack.rng import SeededRng, streams
 
 
 def complete_bipartite(n: int) -> BipartiteGraph:
@@ -107,6 +110,57 @@ class TestDecomposeRegular:
         # this instance's search reaches past Python's recursion limit
         doc = phase_one(1500, 0.02, 2)
         assert doc["outcome"] == "SUCCESS"
+
+
+def test_one_augmenting_path_through_every_vertex():
+    # the first phase gives x_i the edge to y_i, which leaves x_n unmatched;
+    # the one augmenting path then runs x_n y_1 x_1 y_2 ... x_{n-1} y_n
+    n = 3000
+    edges = [(i, i) for i in range(1, n)] + [(i, i + 1) for i in range(1, n)] + [(n, 1)]
+    factor = find_r_factor(BipartiteGraph(n, edges), 1)
+    assert factor is not None
+    assert decompose_regular(factor, 1).matchings == (tuple(range(2, n + 1)) + (1,),)
+
+
+def small_layer_record() -> list:
+    """find_r_factor's edges and decompose_regular's matchings for every r
+    from 0 to n + 1 (None where no factor exists) on 297 seeded random
+    graphs with 1 <= n <= 9 and densities 0.3 to 0.9."""
+    record = []
+    for seed in range(297):
+        n = 1 + seed % 9
+        b = random_bipartite(n, (0.3, 0.5, 0.7, 0.9)[seed // 9 % 4], seed)
+        for r in range(n + 2):
+            factor = find_r_factor(b, r)
+            record.append(None if factor is None else
+                          [list(factor.edges()), decompose_regular(factor, r).matchings])
+    return record
+
+
+def trial_family(n: int, p: float, seed: int) -> list:
+    """find_delta_matchings' family on the bipartite graph of trial (n, p, seed)."""
+    params = derive_parameters(n, p)
+    rng = streams(seed)["phase1"]
+    b_prime = first_exposure(n, params.p0, rng)
+    x_plus, y_minus = min_degree_vertices(b_prime)
+    b = second_exposure(b_prime, x_plus, y_minus, params.p1, rng)
+    return find_delta_matchings(b, x_plus, y_minus)[1].to_json()
+
+
+def sha256_of(value) -> str:
+    return hashlib.sha256(json.dumps(value).encode()).hexdigest()
+
+
+def test_matching_order_pinned():
+    # every factor and matching follows from the lowest-index-first order;
+    # these hashes lock that order at this layer.  Update them only together
+    # with a CHANGES.md entry that says why the order changed.
+    assert (sha256_of(small_layer_record())
+            == "d54456ce990199e5be1cb5d4309033f33285929360fd9f82ef1739fbcdf7074e")
+    families = [trial_family(*cfg) for cfg in [(400, 0.3, 0), (400, 0.3, 1), (800, 0.02, 0)]]
+    assert [len(f) for f in families] == [95, 96, 4]
+    assert (sha256_of(families)
+            == "0d846a4fcfc6427622f174d674e0df8c6a64ff5ff551dc5d9367a26749cd5631")
 
 
 class TestMatchingFamily:

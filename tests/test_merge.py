@@ -45,6 +45,11 @@ class TestMergeSettings:
             MergeSettings(n=10, p=0.5, q=0.5, mode="strict")
         MergeSettings(n=10, p=0.5, q=0.5, mode="strict", retries=0)
 
+    @pytest.mark.parametrize("mode", ["practical", "strict"])
+    def test_negative_retries_rejected(self, mode):
+        with pytest.raises(InvalidInputError, match="need retries >= 0, got -1"):
+            MergeSettings(n=10, p=0.5, q=0.5, mode=mode, retries=-1)
+
 
 class TestMergeTwoCycles:
     def test_frozen_two_cycle_merge(self):

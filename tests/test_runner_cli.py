@@ -12,7 +12,7 @@ from hampack.cli import main
 from hampack.errors import InvalidInputError
 from hampack.graphs import BipartiteGraph, Digraph
 import hampack.runner
-from hampack.pipeline import full_pipeline, report_schema_error
+from hampack.pipeline import full_pipeline, phase_one, report_schema_error
 from hampack.runner import (
     STATS_CSV_COLUMNS,
     TRIAL_CSV_COLUMNS,
@@ -312,12 +312,32 @@ class TestTrialContract:
         ({"n": -5}, "config.n: -5 is less than the minimum of 0"),
         ({"p": -0.1}, "config.p: -0.1 is less than the minimum of 0"),
         ({"seed": -1}, "need seed >= 0, got -1"),
+        ({"p": float("nan")}, "config.p: nan is not a finite number"),
+        ({"q_override": float("inf")}, "config.q_override: inf is not a finite number"),
     ])
     def test_bad_config_raises_before_any_draw(self, knobs, message):
         cfg = dict(n=12, p=0.5, seed=7, q_override=1.0)
         cfg.update(knobs)
         with pytest.raises(InvalidInputError, match=message):
             full_pipeline(**cfg)
+
+    @pytest.mark.parametrize("knobs, message", [
+        ({"n": -5}, "config.n: -5 is less than the minimum of 0"),
+        ({"p": 1.5}, "config.p: 1.5 is greater than the maximum of 1"),
+        ({"p": float("nan")}, "config.p: nan is not a finite number"),
+        ({"mode": "fast"}, "config.mode: 'fast' is not one of"),
+    ])
+    def test_phase_one_checks_its_config(self, knobs, message):
+        cfg = dict(n=12, p=0.5, seed=7)
+        cfg.update(knobs)
+        with pytest.raises(InvalidInputError, match=message):
+            phase_one(**cfg)
+
+    def test_report_bytes_refuse_a_number_that_is_not_finite(self):
+        report = full_pipeline(4, 0.5, 7)
+        report.p = float("nan")
+        with pytest.raises(ValueError):
+            report.json_bytes()
 
     @pytest.mark.parametrize("knobs", [
         {"n": 4}, {"mode": "strict"}, {"q_override": 1.5}, {"mode": "strict", "q_override": 0.5},
@@ -331,12 +351,12 @@ class TestTrialContract:
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.sampled_from([-1, 0, 3, 8, 12]),
-           p=st.sampled_from([-0.5, 0.0, 0.3, 1.0, 1.5]),
+           p=st.sampled_from([-0.5, 0.0, 0.3, 1.0, 1.5, float("nan")]),
            seed=st.integers(-2, 3),
            mode=st.sampled_from(["practical", "strict", "fast"]),
            retries=st.integers(-2, 2),
            t_max=st.integers(-1, 3),
-           q_override=st.sampled_from([None, -0.5, 0.0, 1.0, 2.0]))
+           q_override=st.sampled_from([None, -0.5, 0.0, 1.0, 2.0, float("inf")]))
     def test_raises_or_reports_within_schema(self, n, p, seed, mode, retries, t_max,
                                              q_override):
         try:
@@ -345,6 +365,7 @@ class TestTrialContract:
         except InvalidInputError:
             return
         assert report_schema_error(report.to_json_dict()) is None
+        report.json_bytes()
 
 
 def write(tmp_path, name, text):
@@ -393,6 +414,14 @@ BAD_INVOCATIONS = {
         "generate", "--n", "12", "--p", "0.5", "--seed", "-1"],
     "sweep negative seed": lambda tmp: [
         "sweep", "--n", "12", "--p", "0.5", "--trials", "1", "--jobs", "1", "--seed", "-1"],
+    "nan density": lambda tmp: [
+        "decompose", "--n", "12", "--p", "nan", "--out", str(tmp / "f")],
+    "infinite q override": lambda tmp: [
+        "decompose", "--n", "12", "--p", "0.5", "--q-override", "inf"],
+    "sweep nan density": lambda tmp: [
+        "sweep", "--n", "12", "--p", "nan", "--trials", "1", "--jobs", "1"],
+    "generate negative n": lambda tmp: ["generate", "--n", "-5", "--p", "0.5"],
+    "generate nan density": lambda tmp: ["generate", "--n", "12", "--p", "nan"],
     "stats negative seed": lambda tmp: [
         "stats", "--probe", "cycles", "--n", "6", "--samples", "10", "--seed", "-1"],
 }
