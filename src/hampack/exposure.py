@@ -20,12 +20,13 @@ probabilities into [0, 1], recording which ones were clamped.
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
 from .errors import InvalidInputError, ParameterRangeError
-from .graphs import BipartiteGraph, Digraph, edge_arrays
+from .graphs import BipartiteGraph, Digraph
 from .rng import SeededRng
 
 __all__ = [
@@ -34,6 +35,7 @@ __all__ = [
     "derive_parameters",
     "ExposureLedger",
     "expose",
+    "expose_many",
     "first_exposure",
     "second_exposure",
     "AvailableEdgeSet",
@@ -130,34 +132,47 @@ def derive_parameters(n: int, p: float, mode: str = "practical") -> Params:
 class ExposureLedger:
     """Per-edge attempt and success counts for all online exposures.
 
-    attempts[(u, v)] counts every Bernoulli attempt on the ordered pair,
-    across every procedure and retry of a trial.  successes holds the pairs
-    that succeeded at least once; they are part of the generated digraph
-    whether or not any cycle ended up using them.
+    attempts is a Counter: attempts[(u, v)] counts every Bernoulli attempt
+    on the ordered pair, across every procedure and retry of a trial, and
+    an edge listed twice in one batch counts twice.  successes holds the
+    pairs that succeeded at least once; they are part of the generated
+    digraph whether or not any cycle ended up using them.
     """
 
     def __init__(self) -> None:
-        self.attempts: dict[tuple[int, int], int] = {}
+        self.attempts: Counter[tuple[int, int]] = Counter()
         self.successes: set[tuple[int, int]] = set()
         self.total_attempts = 0
         self.total_successes = 0
 
-    def record(self, edge: tuple[int, int], success: bool) -> None:
-        self.attempts[edge] = self.attempts.get(edge, 0) + 1
-        self.total_attempts += 1
-        if success:
-            self.successes.add(edge)
-            self.total_successes += 1
+    def record_many(self, edges: list[tuple[int, int]], hits: list[tuple[int, int]]) -> None:
+        """Record one attempt on each of edges, of which hits succeeded."""
+        self.attempts.update(edges)
+        self.total_attempts += len(edges)
+        self.successes.update(hits)
+        self.total_successes += len(hits)
 
     def max_attempts(self) -> int:
         return max(self.attempts.values(), default=0)
 
 
+def expose_many(edges: list[tuple[int, int]], prob: float, ledger: ExposureLedger,
+                rng: SeededRng) -> list[tuple[int, int]]:
+    """One recorded Bernoulli(prob) attempt on each ordered edge, as one batch.
+
+    Returns the successful edges in list order.  The edges are drawn in list
+    order from one array draw; since the stream yields the same doubles in
+    bulk as one at a time, and a step's pool does not change while its
+    edges are drawn, this equals exposing the edges one by one.
+    """
+    hits = list(compress(edges, rng.bernoulli_many(len(edges), prob)))
+    ledger.record_many(edges, hits)
+    return hits
+
+
 def expose(edge: tuple[int, int], prob: float, ledger: ExposureLedger, rng: SeededRng) -> bool:
     """One recorded Bernoulli(prob) attempt on an ordered edge."""
-    success = rng.bernoulli(prob)
-    ledger.record(edge, success)
-    return success
+    return bool(expose_many([edge], prob, ledger, rng))
 
 
 def first_exposure(n: int, p0: float, rng: SeededRng) -> BipartiteGraph:
@@ -179,24 +194,23 @@ def second_exposure(b_prime: BipartiteGraph, x_plus: int, y_minus: int,
     Bernoulli(p1) draw; present edges are kept as is (union semantics, no
     re-draw).  The shared pair (x_plus, y_minus) is drawn at most once.
     Draw order: the full row y = 1..n, then the column x = 1..n skipping
-    x_plus.
+    x_plus.  The absent pairs are drawn in that order as one batch.
     """
     n = b_prime.n
     if not (1 <= x_plus <= n and 1 <= y_minus <= n):
         raise InvalidInputError(f"designated vertices ({x_plus},{y_minus}) outside 1..{n}")
-    added = []
-    for y in range(1, n + 1):
-        if not b_prime.has_edge(x_plus, y) and rng.bernoulli(p1):
-            added.append((x_plus, y))
-    for x in range(1, n + 1):
-        if x == x_plus:
-            continue
-        if not b_prime.has_edge(x, y_minus) and rng.bernoulli(p1):
-            added.append((x, y_minus))
-    if not added:
+    # masks over 0..n rather than a list of pair tuples: no allocation per pair
+    row = np.ones(n + 1, dtype=bool)
+    row[[0, *b_prime.x_adj[x_plus]]] = False
+    col = np.ones(n + 1, dtype=bool)
+    col[[0, x_plus, *b_prime.y_adj[y_minus]]] = False
+    ys, xs = row.nonzero()[0], col.nonzero()[0]
+    hits = rng.bernoulli_matrix(1, len(ys) + len(xs), p1)[0]
+    ys, xs = ys[hits[:len(ys)]], xs[hits[len(ys):]]
+    if not len(ys) + len(xs):
         return b_prime
-    xs, ys = edge_arrays(added)
-    return BipartiteGraph(n, (np.concatenate([b_prime.xs, xs]), np.concatenate([b_prime.ys, ys])))
+    return BipartiteGraph(n, (np.concatenate([b_prime.xs, np.full(len(ys), x_plus), xs]),
+                              np.concatenate([b_prime.ys, ys, np.full(len(xs), y_minus)])))
 
 
 class AvailableEdgeSet:

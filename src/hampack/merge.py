@@ -19,7 +19,15 @@ vertex v1:
 In strict mode the nominal E1 size is binding: if fewer eligible edges
 exist, E1 is empty and step 2 fails.  Practical mode uses every eligible
 edge in that case, and may retry a failed merge with fresh randomness;
-every retry's exposures still hit the ledger.
+every retry's exposures still hit the ledger.  The eligible set depends
+only on v1, V(C) and the pool, none of which a failed attempt changes, so
+it is scanned once per merge; when it is empty every attempt would draw
+nothing and fail alike, and the merge ends after the first.
+
+Each exposure step draws its pairs in list order as one batch: the E1
+sample in sampled order, then the closing candidates in sorted order.  The
+pool does not change within a step and the stream yields the same doubles
+in bulk as one at a time, so a batch equals exposing its pairs one by one.
 
 Converting a 1-factor threads one merge per remaining cycle, longest first,
 through a shared availability pool; converting a family of factors threads
@@ -32,7 +40,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import Failure, InvalidInputError
-from .exposure import AvailableEdgeSet, ExposureLedger, expose
+from .exposure import AvailableEdgeSet, ExposureLedger, expose_many
 from .graphs import Cycle, OneFactor
 from .rng import SeededRng
 from .rotation import RotationState, reconstruct_path, rotate_to_target
@@ -143,12 +151,14 @@ def choose_designated(factors: list[OneFactor], rng: SeededRng,
     return out
 
 
-def _merge_once(cycle: Cycle, absorbee: Cycle, v1: int, avail: AvailableEdgeSet,
-                settings: MergeSettings, ledger: ExposureLedger,
+def _merge_once(cycle: Cycle, absorbee: Cycle, v1: int, eligible: list[tuple[int, int]],
+                avail: AvailableEdgeSet, settings: MergeSettings, ledger: ExposureLedger,
                 sprinkle_rng: SeededRng, closure_rng: SeededRng):
-    """One attempt of the merge procedure; no retries, no pool mutation on failure."""
+    """One attempt of the merge procedure; no retries, no pool mutation on failure.
+
+    eligible is the pool's edges from v1 into V(cycle), in vertex order.
+    """
     b = len(cycle)
-    eligible = avail.edges_out_of(v1, sorted(cycle.vertices))
     nominal = settings.nominal_opening_size(b)
     # the sampled order is kept: with several successes the first in draw
     # order wins, which makes retries anchor at fresh cycle vertices
@@ -160,7 +170,7 @@ def _merge_once(cycle: Cycle, absorbee: Cycle, v1: int, avail: AvailableEdgeSet,
         opening_set = []
     else:
         opening_set = list(sprinkle_rng.sample(eligible, len(eligible)))
-    opened = [e for e in opening_set if expose(e, settings.q, ledger, sprinkle_rng)]
+    opened = expose_many(opening_set, settings.q, ledger, sprinkle_rng)
     if not opened:
         return Failure("step2", {"eligible": len(eligible), "attempted": len(opening_set)})
     opening = opened[0]
@@ -176,7 +186,7 @@ def _merge_once(cycle: Cycle, absorbee: Cycle, v1: int, avail: AvailableEdgeSet,
     lefts = rotated.end_set("left", rotated.t_left)
     rights = rotated.end_set("right", rotated.t_right)
     closing_candidates = avail.edges_between(rights, lefts)
-    closed = [e for e in closing_candidates if expose(e, settings.q, ledger, closure_rng)]
+    closed = expose_many(closing_candidates, settings.q, ledger, closure_rng)
     if not closed:
         return Failure("step5", {
             "candidates": len(closing_candidates),
@@ -211,19 +221,26 @@ def merge_two_cycles(cycle: Cycle, absorbee: Cycle, v1: int, avail: AvailableEdg
     On success the merged cycle spans both vertex sets and the consumed
     edges have left the availability pool; on failure the pool is
     untouched.  A failed attempt is retried up to settings.retries times
-    (always 0 in strict mode) with fresh randomness from the same streams.
+    (always 0 in strict mode) with fresh randomness from the same streams,
+    except that an empty eligible set (no pool edge from v1 into the cycle)
+    ends the merge at once: it is fixed for the whole merge and no retry
+    could draw anything.  A failure reports the full attempt budget either
+    way.
     """
     if v1 not in absorbee.vertices:
         raise InvalidInputError(f"designated vertex {v1} is not on the absorbed cycle")
     if set(cycle.vertices) & set(absorbee.vertices):
         raise InvalidInputError("cycles to merge must be vertex-disjoint")
     attempts_allowed = 1 + settings.retries
+    eligible = avail.edges_out_of(v1, sorted(cycle.vertices))
     last_failure: Failure | None = None
     for attempt in range(1, attempts_allowed + 1):
-        got = _merge_once(cycle, absorbee, v1, avail, settings, ledger,
+        got = _merge_once(cycle, absorbee, v1, eligible, avail, settings, ledger,
                           sprinkle_rng, closure_rng)
         if isinstance(got, Failure):
             last_failure = got
+            if not eligible:
+                break
             continue
         merged, opening, closing, consumed, diag = got
         assert set(merged.vertices) == set(cycle.vertices) | set(absorbee.vertices)

@@ -41,6 +41,10 @@ def _json_safe(obj):
     if isinstance(obj, dict):
         return {str(k): _json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
+        # the cycles, matchings and factors are long lists of plain ints;
+        # type() rather than isinstance() so that bools take the slow path
+        if all(type(v) is int for v in obj):
+            return list(obj)
         return [_json_safe(v) for v in obj]
     if isinstance(obj, (set, frozenset)):
         return [_json_safe(v) for v in sorted(obj)]

@@ -39,6 +39,15 @@ class SeededRng:
         self.n_bernoulli += 1
         return bool(self._gen.random() < prob)
 
+    def bernoulli_many(self, k: int, prob: float) -> list[bool]:
+        """k counted Bernoulli(prob) draws, in stream order.
+
+        PCG64's random(k) yields the same doubles as k scalar random()
+        calls, so this consumes the stream exactly as k bernoulli() calls.
+        """
+        self.n_bernoulli += k
+        return (self._gen.random(k) < prob).tolist()
+
     def bernoulli_matrix(self, rows: int, cols: int, prob: float) -> np.ndarray:
         """Bulk Bernoulli(prob) draws as a boolean (rows, cols) array.
 
@@ -62,7 +71,7 @@ class SeededRng:
         if k > len(seq):
             raise ValueError(f"cannot sample {k} from {len(seq)} elements")
         idx = self._gen.choice(len(seq), size=k, replace=False)
-        return [seq[int(i)] for i in idx]
+        return [seq[i] for i in idx.tolist()]
 
     def integers(self, low: int, high: int) -> int:
         """Uniform integer in [low, high)."""

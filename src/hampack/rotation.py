@@ -22,6 +22,13 @@ which costs O(m) per round of depth.  At most two derivations are retained
 per endpoint per round; further ones are dropped deterministically and
 counted, since the analysis expects a third derivation never to occur.
 
+Each step of a round exposes its pairs as one batch in list order: step 1
+the pairs of one endpoint in quarter order, step 2 the pairs of one fired
+position in quarter order.  Pairs already out of the pool are filtered
+first, as the pool only changes after a merge ends; and the stream yields
+the same doubles in bulk as one at a time, so a batch equals exposing its
+pairs one by one.
+
 A round that produces no endpoint at all falls back to the previous round's
 endpoint set, so the process can stall but never lose ground.  Rounds stop
 as soon as the endpoint set reaches the caller's target size; the round
@@ -32,7 +39,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import Failure, InvalidInputError, ParameterRangeError
-from .exposure import AvailableEdgeSet, ExposureLedger, expose
+from .exposure import AvailableEdgeSet, ExposureLedger, expose_many
 from .rng import SeededRng
 
 __all__ = [
@@ -210,54 +217,40 @@ def sprinkle_rotations(state: RotationState, side: str, avail: AvailableEdgeSet,
     prob = state.sprinkle_prob
     new_ends: dict[int, list[tuple[int, int, int]]] = {}
     produced = False
+
+    def fire(at: dict[tuple[int, int], int]) -> list[int]:
+        # expose the available edges of at (edge -> path position) as one
+        # batch; the edges are distinct, so each hit maps back to its position
+        hits = expose_many([e for e in at if e in avail], prob, ledger, rng)
+        state.exposed_success.update(hits)
+        return [at[e] for e in hits]
+
     for u in parents:
         path_u = state.reconstruct_side(side, u, t_prev)
         if side == "left":
-            # step 1: edges from the second quarter into the left endpoint
-            fired = []
-            for j in qp.v2:
-                y = path_u[j - 1]
-                if (y, u) in avail and expose((y, u), prob, ledger, rng):
-                    state.exposed_success.add((y, u))
-                    fired.append(j)
-            # step 2: edges from the first quarter into each successor
-            for j in fired:
-                y = path_u[j - 1]
-                y_next = path_u[j]
-                for i in qp.v1:
-                    x = path_u[i - 1]
-                    if (x, y_next) in avail and expose((x, y_next), prob, ledger, rng):
-                        state.exposed_success.add((x, y_next))
-                        produced = True
-                        end = path_u[i]
-                        recs = new_ends.setdefault(end, [])
-                        if len(recs) < 2:
-                            recs.append((u, x, y))
-                        else:
-                            state.overflow_count += 1
+            # step 1: edges from the second quarter into the left endpoint;
+            # step 2: edges from the first quarter into each fired successor
+            for j in fire({(path_u[j - 1], u): j for j in qp.v2}):
+                y, y_next = path_u[j - 1], path_u[j]
+                for i in fire({(path_u[i - 1], y_next): i for i in qp.v1}):
+                    produced = True
+                    recs = new_ends.setdefault(path_u[i], [])
+                    if len(recs) < 2:
+                        recs.append((u, path_u[i - 1], y))
+                    else:
+                        state.overflow_count += 1
         else:
-            # step 1: edges from the right endpoint into the third quarter
-            fired = []
-            for s in qp.v3:
-                w = path_u[s - 1]
-                if (u, w) in avail and expose((u, w), prob, ledger, rng):
-                    state.exposed_success.add((u, w))
-                    fired.append(s)
-            # step 2: edges from each predecessor into the fourth quarter
-            for s in fired:
-                w = path_u[s - 1]
-                w_prev = path_u[s - 2]
-                for tpos in qp.v4:
-                    z = path_u[tpos - 1]
-                    if (w_prev, z) in avail and expose((w_prev, z), prob, ledger, rng):
-                        state.exposed_success.add((w_prev, z))
-                        produced = True
-                        end = path_u[tpos - 2]
-                        recs = new_ends.setdefault(end, [])
-                        if len(recs) < 2:
-                            recs.append((u, z, w))
-                        else:
-                            state.overflow_count += 1
+            # step 1: edges from the right endpoint into the third quarter;
+            # step 2: edges from each fired predecessor into the fourth quarter
+            for s in fire({(u, path_u[s - 1]): s for s in qp.v3}):
+                w, w_prev = path_u[s - 1], path_u[s - 2]
+                for t in fire({(w_prev, path_u[t - 1]): t for t in qp.v4}):
+                    produced = True
+                    recs = new_ends.setdefault(path_u[t - 2], [])
+                    if len(recs) < 2:
+                        recs.append((u, path_u[t - 1], w))
+                    else:
+                        state.overflow_count += 1
     rounds.append(_Round(fallback=not produced, ends=new_ends))
     t = len(rounds)
     size = len(state.end_set(side, t))

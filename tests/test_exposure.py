@@ -8,7 +8,7 @@ splitting identity (1-p0)(1-p1) = 1-p, then frozen here.
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hampack.errors import InvalidInputError, ParameterRangeError
 from hampack.exposure import (
@@ -18,6 +18,7 @@ from hampack.exposure import (
     coupling_audit,
     derive_parameters,
     expose,
+    expose_many,
     first_exposure,
     init_available_edges,
     second_exposure,
@@ -135,6 +136,65 @@ class TestExposeAndLedger:
         for i in range(20):
             expose((1 + i % 3, 5), 0.5, ledger, rng)
         assert rng.n_bernoulli == ledger.total_attempts == 20
+
+
+class TestBatchedExposure:
+    """A batch of k exposures equals k scalar exposures on a twin stream."""
+
+    @given(seed=st.integers(0, 2 ** 32), k=st.integers(0, 300))
+    def test_bulk_doubles_equal_scalar_doubles(self, seed, k):
+        # the premise of batching: random(k) consumes PCG64 exactly as k
+        # scalar random() calls, and the streams agree afterwards too
+        bulk, scalar = SeededRng(seed, "sprinkling"), SeededRng(seed, "sprinkling")
+        assert bulk._gen.random(k).tolist() == [scalar._gen.random() for _ in range(k)]
+        assert bulk._gen.random() == scalar._gen.random()
+
+    @given(seed=st.integers(0, 2 ** 32),
+           edges=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), max_size=40),
+           prob=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+           pre=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), max_size=5))
+    @example(seed=0, edges=[], prob=0.5, pre=[])
+    @example(seed=1, edges=[(1, 2), (1, 2), (2, 1)], prob=0.5, pre=[(1, 2)])
+    @example(seed=2, edges=[(1, 2), (3, 4)], prob=0.0, pre=[])
+    @example(seed=3, edges=[(1, 2), (3, 4), (1, 2)], prob=1.0, pre=[])
+    def test_expose_many_equals_scalar_loop(self, seed, edges, prob, pre):
+        batch_rng, loop_rng = SeededRng(seed, "closure"), SeededRng(seed, "closure")
+        batch = ExposureLedger()
+        # a ledger that already holds attempts, so the batch adds to them
+        expose_many(pre, 0.5, batch, batch_rng)
+        attempts = dict(batch.attempts)
+        successes, hits = set(batch.successes), []
+        for _ in pre:
+            loop_rng.bernoulli(0.5)
+        for e in edges:
+            attempts[e] = attempts.get(e, 0) + 1
+            if loop_rng.bernoulli(prob):
+                hits.append(e)
+                successes.add(e)
+        total_successes = batch.total_successes + len(hits)
+        assert expose_many(edges, prob, batch, batch_rng) == hits
+        assert batch.attempts == attempts
+        assert batch.successes == successes
+        assert batch.total_attempts == len(pre) + len(edges) == sum(attempts.values())
+        assert batch.total_successes == total_successes
+        assert batch_rng.n_bernoulli == loop_rng.n_bernoulli == len(pre) + len(edges)
+        assert batch_rng._gen.random() == loop_rng._gen.random()
+
+    def test_second_exposure_draws_row_then_column_as_scalars(self):
+        # the batched round equals one scalar draw per absent pair, the row
+        # of x_plus first, then the column of y_minus without x_plus
+        n, x_plus, y_minus = 9, 3, 5
+        b = BipartiteGraph(n, [(x_plus, 1), (x_plus, 5), (2, y_minus), (7, 7)])
+        twin = SeededRng(4, "phase1")
+        expected = set(b.edges())
+        for x, y in ([(x_plus, y) for y in range(1, n + 1)]
+                     + [(x, y_minus) for x in range(1, n + 1) if x != x_plus]):
+            if not b.has_edge(x, y) and twin.bernoulli(0.5):
+                expected.add((x, y))
+        rng = SeededRng(4, "phase1")
+        assert set(second_exposure(b, x_plus, y_minus, 0.5, rng).edges()) == expected
+        # the row's 9 pairs less its 2 edges, the column's 8 less its 1
+        assert rng.n_bernoulli == twin.n_bernoulli == 14
 
 
 class TestFirstExposure:

@@ -4,9 +4,11 @@ import pytest
 
 from hampack.errors import Failure, InvalidInputError
 from hampack.exposure import AvailableEdgeSet, ExposureLedger
+from hampack import merge
 from hampack.graphs import Cycle, OneFactor, Permutation, matching_to_one_factor
 from hampack.merge import (
     DesignationLedger,
+    MergeResult,
     MergeSettings,
     choose_designated,
     convert_all,
@@ -117,6 +119,30 @@ class TestMergeTwoCycles:
         assert result.outcome.detail["attempts"] == 4
         # 5 eligible opening edges attempted on each of the 4 tries
         assert ledger.total_attempts == 20
+        assert pool.removal_log == []
+
+    def test_dead_end_merge_stops_after_one_attempt(self, monkeypatch):
+        # no pool edge leaves v1 = 6 into the cycle, so every attempt would
+        # draw nothing; the merge scans once, draws nothing and still
+        # reports the whole budget, exactly as when all 9 attempts ran
+        cycle = Cycle(range(1, 6))
+        absorbee = Cycle([6])
+        pool = pool_without(6, list(cycle.edges()) + [(6, u) for u in range(1, 6)])
+        scans, tries = [], []
+        edges_out_of = AvailableEdgeSet.edges_out_of
+        monkeypatch.setattr(AvailableEdgeSet, "edges_out_of",
+                            lambda self, *a: scans.append(a) or edges_out_of(self, *a))
+        merge_once = merge._merge_once
+        monkeypatch.setattr(merge, "_merge_once", lambda *a: tries.append(a) or merge_once(*a))
+        sprinkle, closure = streams(0)
+        ledger = ExposureLedger()
+        result = merge_two_cycles(cycle, absorbee, 6, pool, fast_settings(6, retries=8),
+                                  ledger, sprinkle, closure)
+        assert len(scans) == len(tries) == 1
+        assert sprinkle.n_bernoulli == closure.n_bernoulli == ledger.total_attempts == 0
+        assert result == MergeResult(
+            outcome=Failure("step2", {"eligible": 0, "attempted": 0, "attempts": 9}),
+            attempts=9)
         assert pool.removal_log == []
 
     def test_step5_failure_when_closing_edge_missing(self):

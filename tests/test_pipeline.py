@@ -172,6 +172,30 @@ def test_replay_bytes_pinned():
     assert got == PINNED_REPLAY_SHA256
 
 
+# sha256 of json_bytes() for ((n, p, seed), q_override) at retries=8, where
+# q < 1 so that a draw taken out of order changes which exposures succeed
+# (at q = 1 every draw succeeds, whatever its order).  The q = 0.5 cells fail
+# at step 5 after hundreds of sprinkling draws and a few closure draws; the
+# natural-q cell fails at step 2 after its opening draws.  Same update rule.
+PINNED_REPLAY_SHA256_BELOW_ONE = {
+    ((40, 0.3, 0), 0.5): "b0fe10135cb13cb56c669f1a35d1d4bea3fb923dfb9600954d36b74d3b65f176",
+    ((40, 0.3, 1), 0.5): "c95d9664e4069897ec5d0fc4c7d3bd507642aa6352f706fb4e0a42fcf58e4b7a",
+    ((80, 0.3, 2), 0.5): "88bb2cd006dc2922c0573b3a37ad31881fc2bb5961d82b3fca5a2be9e55e2b62",
+    ((120, 0.3, 1), 0.5): "40be504db4da8268c336c48f437a6ecb25925b25686c2a031baf0695fd6b9999",
+    ((40, 0.3, 1), None): "150700e3f8a2099a5b4416e124884990e64100a6df89e5ad64887b4759e6a34b",
+}
+
+
+def test_replay_bytes_pinned_below_unit_rate():
+    reports = {key: full_pipeline(*key[0], q_override=key[1], retries=8)
+               for key in PINNED_REPLAY_SHA256_BELOW_ONE}
+    draws = [r.diagnostics["draw_counts"] for r in reports.values()]
+    assert all(d["sprinkling"] > 0 for d in draws)
+    assert all(d["closure"] > 0 for d in draws[:4])
+    got = {key: hashlib.sha256(r.json_bytes()).hexdigest() for key, r in reports.items()}
+    assert got == PINNED_REPLAY_SHA256_BELOW_ONE
+
+
 # sha256 of the phase_one document as `hampack generate` prints it, for (n, p, seed)
 # or (n, p, seed, mode); the same rule as above holds for updating them
 PINNED_PHASE_ONE_SHA256 = {
